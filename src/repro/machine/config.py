@@ -131,7 +131,9 @@ class MachineConfig:
 
     # --- pipeline model ---------------------------------------------------
     # (excluded from equality/hash so configs stay usable as cache keys;
-    # the tables are only ever replaced wholesale in tests)
+    # the tables are only ever replaced wholesale in tests -- never
+    # mutated in place: config_signature caches the tables' contents on
+    # the instance)
     latencies: Mapping[str, int] = field(
         default_factory=_default_latencies, compare=False
     )
@@ -182,15 +184,25 @@ def config_signature(config: MachineConfig) -> tuple:
     results.  Every cache whose value depends on instruction timing
     (micro-kernel schedules, Eq. (2) calibration fits, evaluation
     memos) must key on this signature instead.
+
+    The config is frozen, so the signature is built once per instance
+    and kept on it; ``replace``/``with_overrides`` copies are new
+    instances and build their own.
     """
-    sig = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, Mapping):
-            sig.append((f.name, tuple(sorted(value.items()))))
-        else:
-            sig.append((f.name, value))
-    return tuple(sig)
+    sig = config.__dict__.get("_signature")
+    if sig is None:
+        sig = tuple(
+            (f.name, _signature_value(getattr(config, f.name)))
+            for f in fields(config)
+        )
+        object.__setattr__(config, "_signature", sig)
+    return sig
+
+
+def _signature_value(value):
+    if isinstance(value, Mapping):
+        return tuple(sorted(value.items()))
+    return value
 
 
 #: The default machine description used throughout the library.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import IO, List, Optional, Sequence
+from typing import IO, List, Optional, Sequence, Tuple
 
 from ..errors import PassVerificationError
 from ..ir.nodes import KernelNode
@@ -123,9 +123,14 @@ class PassManager:
             assert dump is not None
             dump.runs_dumped += 1
         t_run = time.perf_counter()
+        # nothing runs between two pass boundaries, so each pass's
+        # ``nodes_before`` is the count taken at the previous boundary
+        nodes = count_nodes(kernel) if kernel is not None else 0
         try:
             for p in self.passes:
-                kernel = self._run_one(p, ctx, kernel, dump if dumping else None)
+                kernel, nodes = self._run_one(
+                    p, ctx, kernel, nodes, dump if dumping else None
+                )
         finally:
             if self.metrics is not None and self.stage is not None:
                 stage = getattr(self.metrics, self.stage)
@@ -142,9 +147,9 @@ class PassManager:
         p: Pass,
         ctx: PassContext,
         kernel: Optional[KernelNode],
+        before: int,
         dump: Optional[_DumpConfig],
-    ) -> Optional[KernelNode]:
-        before = count_nodes(kernel) if kernel is not None else 0
+    ) -> Tuple[Optional[KernelNode], int]:
         if dump is not None and dump.matches(p.name) and kernel is not None:
             print(
                 f"// --- IR before pass {p.name!r} ---\n{pretty(kernel)}",
@@ -156,14 +161,28 @@ class PassManager:
         out = p.run(ctx, kernel)
         kernel = out if out is not None else kernel
         dt = time.perf_counter() - t0
-        after = count_nodes(kernel) if kernel is not None else 0
+        ctx.established.update(p.establishes)
+
+        # the verifier's traversal also counts the nodes
+        violations: List[str] = []
+        if kernel is None:
+            after = 0
+        elif self.verify:
+            violations = check_kernel(
+                kernel,
+                compute=ctx.compute,
+                config=ctx.config,
+                established=ctx.established,
+            )
+            after = violations.nodes
+        else:
+            after = count_nodes(kernel)
 
         self.last_trace.append(
             PassRun(name=p.name, seconds=dt, nodes_before=before, nodes_after=after)
         )
         if self.metrics is not None:
             self.metrics.record_pass(p.name, dt)
-        ctx.established.update(p.establishes)
 
         if dump is not None and dump.matches(p.name) and kernel is not None:
             print(
@@ -171,16 +190,9 @@ class PassManager:
                 file=dump.out(),
             )
 
-        if self.verify and kernel is not None:
-            violations = check_kernel(
-                kernel,
-                compute=ctx.compute,
-                config=ctx.config,
-                established=ctx.established,
-            )
-            if violations:
-                raise PassVerificationError(p.name, violations)
-        return kernel
+        if violations:
+            raise PassVerificationError(p.name, violations)
+        return kernel, after
 
     def describe(self) -> str:
         """Human-readable trace of the latest run."""

@@ -29,7 +29,7 @@ when the list is non-empty.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Optional
 
 from ..dsl.compute import ComputeDef
 from ..errors import SpmCapacityError
@@ -42,15 +42,23 @@ from ..ir.nodes import (
     Node,
     ZeroSpmNode,
 )
-from ..ir.visitors import walk
 from ..machine.config import MachineConfig, default_config
+from ..machine.dma import MEM_TO_SPM
 from ..optimizer.memplan import plan_spm
-from ..optimizer.prefetch import direct_stream_dmas
 from .base import DMA_GEOMETRY, SPM_PLANNED, Pass, PassContext
 
 #: invariants enforced unconditionally when check_kernel is called
 #: standalone (a finished kernel should satisfy everything).
 ALL_INVARIANTS: FrozenSet[str] = frozenset({SPM_PLANNED, DMA_GEOMETRY})
+
+
+class Violations(list):
+    """The violation messages :func:`check_kernel` found, in report
+    order; the list also carries ``nodes``, the kernel's IR node count
+    (the figure :func:`~repro.ir.visitors.count_nodes` gives), taken by
+    the same traversal."""
+
+    nodes: int = 0
 
 
 def check_kernel(
@@ -59,96 +67,113 @@ def check_kernel(
     compute: Optional[ComputeDef] = None,
     config: Optional[MachineConfig] = None,
     established: Iterable[str] = ALL_INVARIANTS,
-) -> List[str]:
-    """All structural-invariant violations of a kernel (empty = valid)."""
+) -> Violations:
+    """All structural-invariant violations of a kernel (empty = valid).
+
+    One recursive visit of the body checks every invariant and counts
+    the nodes; messages are reported grouped by invariant, in the order
+    of the module docstring (buffer refs, loop nesting, double-buffer
+    phases, SPM capacity, DMA geometry), each group in pre-order.
+    """
     cfg = config or default_config()
     held = set(established)
-    out: List[str] = []
-    out.extend(_check_buffer_refs(kernel, compute))
-    out.extend(_check_loop_nesting(kernel))
-    out.extend(_check_double_buffer_phases(kernel))
-    if SPM_PLANNED in held:
-        out.extend(_check_spm_capacity(kernel, cfg))
-    if DMA_GEOMETRY in held:
-        out.extend(_check_dma_geometry(kernel))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# individual invariants
-# ---------------------------------------------------------------------------
-def _check_buffer_refs(
-    kernel: KernelNode, compute: Optional[ComputeDef]
-) -> List[str]:
-    out: List[str] = []
     allocs = {a.name for a in kernel.allocs}
-    for node in walk(kernel.body):
+    tensors = compute.tensors if compute is not None else None
+    check_geometry = DMA_GEOMETRY in held
+    refs: List[str] = []
+    nesting: List[str] = []
+    geometry: List[str] = []
+    # one record per pipelined loop, pre-order: [var, fills per
+    # streamed buffer, records of the enclosing pipelined loops]
+    pipelined: List[list] = []
+    count = 0
+
+    def visit(node: Node, bound: FrozenSet[str], stream, outer: tuple) -> None:
+        # ``stream``: record of the innermost enclosing loop if it is
+        # pipelined (transfers under a nested loop belong to that loop)
+        nonlocal count
+        count += 1
         if isinstance(node, DmaCgNode):
+            access = node.access
             if node.spm not in allocs:
-                out.append(
+                refs.append(
                     f"DMA targets undeclared SPM buffer {node.spm!r} "
                     f"(allocs: {sorted(allocs)})"
                 )
-            if compute is not None and node.access.buffer not in compute.tensors:
-                out.append(
-                    f"DMA accesses unknown tensor {node.access.buffer!r} "
-                    f"(tensors: {sorted(compute.tensors)})"
+            if tensors is not None and access.buffer not in tensors:
+                refs.append(
+                    f"DMA accesses unknown tensor {access.buffer!r} "
+                    f"(tensors: {sorted(tensors)})"
                 )
-        elif isinstance(node, ZeroSpmNode):
+            free = access.variables() - bound
+            if free:
+                nesting.append(
+                    f"DMA access of {access.buffer!r} uses unbound "
+                    f"loop variable(s) {sorted(free)}"
+                )
+            if stream is not None and node.direction == MEM_TO_SPM:
+                fills = stream[1]
+                fills[node.spm] = fills.get(node.spm, 0) + 1
+            if check_geometry and node.geometry is None:
+                geometry.append(
+                    f"DMA of {access.buffer!r} -> {node.spm!r} has no "
+                    "inferred geometry"
+                )
+            return
+        if isinstance(node, ZeroSpmNode):
             if node.spm not in allocs:
-                out.append(
+                refs.append(
                     f"zero_spm targets undeclared SPM buffer {node.spm!r}"
                 )
-        elif isinstance(node, GemmOpNode):
+            return
+        if isinstance(node, GemmOpNode):
             for role, name in (
                 ("A", node.a_spm), ("B", node.b_spm), ("C", node.c_spm)
             ):
                 if name not in allocs:
-                    out.append(
+                    refs.append(
                         f"gemm_op operand {role} references undeclared "
                         f"SPM buffer {name!r}"
                     )
-    return out
-
-
-def _check_loop_nesting(kernel: KernelNode) -> List[str]:
-    out: List[str] = []
-
-    def visit(node: Node, bound: Set[str]) -> None:
+            return
         if isinstance(node, AllocSpmNode):
-            out.append(
+            nesting.append(
                 f"SPM alloc {node.name!r} nested in the kernel body "
                 "(allocs belong on the kernel root)"
             )
-        if isinstance(node, DmaCgNode):
-            free = node.access.variables() - bound
-            if free:
-                out.append(
-                    f"DMA access of {node.access.buffer!r} uses unbound "
-                    f"loop variable(s) {sorted(free)}"
-                )
-        if isinstance(node, ForNode):
+        elif isinstance(node, ForNode):
             if node.var in bound:
-                out.append(
+                nesting.append(
                     f"loop variable {node.var!r} shadowed by a nested loop"
                 )
             bound = bound | {node.var}
+            if node.pipelined:
+                stream = [node.var, {}, outer]
+                pipelined.append(stream)
+                outer = (*outer, stream)
+            else:
+                stream = None
         for child in node.children():
-            visit(child, bound)
+            visit(child, bound, stream, outer)
 
-    visit(kernel.body, set())
+    visit(kernel.body, frozenset(), None, ())
+    out = Violations(refs)
+    out.extend(nesting)
+    out.extend(_phase_violations(pipelined, kernel.allocs))
+    if SPM_PLANNED in held:
+        try:
+            plan_spm(kernel, cfg)
+        except SpmCapacityError as exc:
+            out.append(f"SPM plan violates capacity: {exc}")
+    out.extend(geometry)
+    # the kernel root and its allocs sit outside the visited body
+    out.nodes = count + 1 + len(kernel.allocs)
     return out
 
 
-def _check_spm_capacity(kernel: KernelNode, cfg: MachineConfig) -> List[str]:
-    try:
-        plan_spm(kernel, cfg)
-    except SpmCapacityError as exc:
-        return [f"SPM plan violates capacity: {exc}"]
-    return []
-
-
-def _check_double_buffer_phases(kernel: KernelNode) -> List[str]:
+def _phase_violations(
+    pipelined: List[list], allocs: List[AllocSpmNode]
+) -> List[str]:
     """Double buffering gives each streamed buffer exactly two phase
     copies (one filling, one computing), so:
 
@@ -159,55 +184,34 @@ def _check_double_buffer_phases(kernel: KernelNode) -> List[str]:
       pipelines' phase assignments would race over the same two
       copies.  Sequential (sibling) pipelined loops are fine: each
       runs its pipeline to completion before the next starts.
+
+    ``pipelined`` holds the visit's per-loop records in pre-order.
     """
     out: List[str] = []
-    declared = kernel_alloc_names(kernel)
-    double_buffered = {a.name for a in kernel.allocs if a.double_buffered}
-
-    def visit(node: Node, active: dict) -> None:
-        if isinstance(node, ForNode) and node.pipelined:
-            streamed: dict = {}
-            for dma in direct_stream_dmas(node):
-                streamed[dma.spm] = streamed.get(dma.spm, 0) + 1
-            for spm, fills in streamed.items():
-                if spm in declared and spm not in double_buffered:
-                    out.append(
-                        f"pipelined loop {node.var!r} streams into {spm!r} "
-                        "which has no double-buffer reservation"
-                    )
-                if fills > 1:
-                    out.append(
-                        f"pipelined loop {node.var!r} fills {spm!r} "
-                        f"{fills} times per iteration: no free phase copy "
-                        "to prefetch into"
-                    )
-                if spm in active:
-                    out.append(
-                        f"buffer {spm!r} streamed by nested pipelined "
-                        f"loops ({active[spm]!r} and {node.var!r}): phase "
-                        "assignments race"
-                    )
-            active = {**active, **{s: node.var for s in streamed}}
-        for child in node.children():
-            visit(child, active)
-
-    visit(kernel.body, {})
+    declared = {a.name for a in allocs}
+    double_buffered = {a.name for a in allocs if a.double_buffered}
+    for var, streamed, outer in pipelined:
+        # innermost enclosing pipelined loop streaming each buffer
+        active = {s: o_var for o_var, o_streamed, _ in outer for s in o_streamed}
+        for spm, fills in streamed.items():
+            if spm in declared and spm not in double_buffered:
+                out.append(
+                    f"pipelined loop {var!r} streams into {spm!r} "
+                    "which has no double-buffer reservation"
+                )
+            if fills > 1:
+                out.append(
+                    f"pipelined loop {var!r} fills {spm!r} "
+                    f"{fills} times per iteration: no free phase copy "
+                    "to prefetch into"
+                )
+            if spm in active:
+                out.append(
+                    f"buffer {spm!r} streamed by nested pipelined "
+                    f"loops ({active[spm]!r} and {var!r}): phase "
+                    "assignments race"
+                )
     return out
-
-
-def _check_dma_geometry(kernel: KernelNode) -> List[str]:
-    out: List[str] = []
-    for node in walk(kernel.body):
-        if isinstance(node, DmaCgNode) and node.geometry is None:
-            out.append(
-                f"DMA of {node.access.buffer!r} -> {node.spm!r} has no "
-                "inferred geometry"
-            )
-    return out
-
-
-def kernel_alloc_names(kernel: KernelNode) -> Set[str]:
-    return {a.name for a in kernel.allocs}
 
 
 class VerifyPass(Pass):

@@ -353,16 +353,15 @@ class _KernelBuilder:
         )
 
         nodes: List[Node] = []
-        if full_trips > 0:
+        if full_trips == 1:
+            # trip-count-1 loops collapse: the single tile starts at zero
+            off = offsets | {axis: AffineExpr(0)}
+            nodes.append(next_level(level + 1, off, lens | {axis: tile}))
+        elif full_trips > 1:
             var = f"c{axis}"
             off = offsets | {axis: AffineExpr.var(var) * tile}
             body = next_level(level + 1, off, lens | {axis: tile})
-            if full_trips == 1:
-                # trip-count-1 loops collapse: bind the index to zero
-                body = _substitute_var(body, var, 0)
-                nodes.append(body)
-            else:
-                nodes.append(ForNode(var, full_trips, body))
+            nodes.append(ForNode(var, full_trips, body))
         if tail > 0:
             # boundary region: the peeled remainder iteration
             off = offsets | {axis: AffineExpr(full_trips * tile)}
@@ -587,27 +586,3 @@ def _inflate_last_col(
         others = cur // out[last]
         out[last] = -(-target // max(1, others))
     return tuple(out)
-
-
-def _substitute_var(node: Node, var: str, value: int) -> Node:
-    """Bind a loop variable to a constant throughout a subtree (used
-    when collapsing trip-count-1 loops)."""
-    from ..ir.visitors import transform
-
-    def rewrite(n: Node):
-        if isinstance(n, DmaCgNode):
-            dims = tuple(
-                (off.substitute({var: value}), length)
-                for off, length in n.access.dims
-            )
-            return DmaCgNode(
-                access=TileAccess(n.access.buffer, dims),
-                spm=n.spm,
-                direction=n.direction,
-                reply=n.reply,
-                geometry=n.geometry,
-                phase_var=n.phase_var,
-            )
-        return None
-
-    return transform(node, rewrite)

@@ -8,6 +8,7 @@ import pytest
 from repro.dsl import ScheduleSpace
 from repro.engine import CandidatePipeline, EngineMetrics
 from repro.errors import IllegalCandidateError, PassVerificationError
+from repro.ir import count_nodes
 from repro.passes import (
     FunctionPass,
     PassContext,
@@ -18,6 +19,7 @@ from repro.passes import (
 )
 
 from ..scheduler.test_lower import gemm_cd
+from .test_golden_digests import family_spaces
 
 
 def gemm_setup(M=128, N=128, K=128, tm=64, tn=64, tk=64):
@@ -81,6 +83,51 @@ class TestInstrumentation:
         ctx = PassContext(compute=cd, strategy=strategy)
         PassManager([*lowering_passes(), *optimize_passes()]).run(ctx)
         assert {"spm-plan", "dma-geometry"} <= ctx.established
+
+
+def _nodes(kernel) -> int:
+    return count_nodes(kernel) if kernel is not None else 0
+
+
+def counting(p, seen):
+    """``p`` under the same name, recording the node counts of the
+    kernel entering and leaving it."""
+
+    def run(ctx, kernel):
+        out = p.run(ctx, kernel)
+        seen.append((_nodes(kernel), _nodes(out if out is not None else kernel)))
+        return out
+
+    return FunctionPass(p.name, run, establishes=p.establishes)
+
+
+class TestNodeCounts:
+    """Node deltas come from the verifier's traversal (or one count per
+    boundary without it); they must still be the true counts."""
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize(
+        "family", ["gemm", "implicit", "explicit", "winograd", "strided"]
+    )
+    def test_nodes_match_count_nodes(self, family, verify):
+        checked = 0
+        for _, sp in family_spaces()[family]:
+            for strategy in list(sp.strategies())[:3]:
+                ctx = PassContext(compute=sp.compute, strategy=strategy)
+                kernel = None
+                for passes in (lowering_passes(), optimize_passes()):
+                    seen = []
+                    manager = PassManager(
+                        [counting(p, seen) for p in passes], verify=verify
+                    )
+                    try:
+                        kernel = manager.run(ctx, kernel)
+                    except IllegalCandidateError:
+                        break
+                    got = [(r.nodes_before, r.nodes_after) for r in manager.last_trace]
+                    assert got == seen
+                    checked += 1
+        assert checked >= 2
 
 
 class TestFailureSemantics:
