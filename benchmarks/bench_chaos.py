@@ -27,8 +27,13 @@ from pathlib import Path
 
 from repro.autotuner.calibrate import default_coeffs
 from repro.autotuner.model_tuner import tune_with_model
-from repro.engine import clear_feeds_cache, clear_shared_memo, set_eval_cache
-from repro.faults import FaultPlan, set_fault_plan
+from repro.engine import (
+    PersistentEvalStore,
+    RunConfig,
+    clear_feeds_cache,
+    clear_shared_memo,
+)
+from repro.faults import FaultPlan
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
 from repro.primitives.microkernel import clear_schedule_memo
@@ -61,24 +66,17 @@ def run_sweep(shapes, *, quick_space: bool, workers: int) -> dict:
             walls = {}
             for mode, plan in (("clean", None), ("chaos", CHAOS_PLAN)):
                 _cold_caches()
-                set_fault_plan(plan)
-                store = set_eval_cache(
+                store = PersistentEvalStore(
                     Path(tmp) / f"evals-{mode}-{m}x{n}x{k}.json"
                 )
+                run = RunConfig.from_env(
+                    workers=workers, eval_cache=store, faults=plan
+                )
                 t0 = time.perf_counter()
-                try:
-                    results[mode] = tune_with_model(
-                        compute,
-                        space,
-                        run_best=True,
-                        prune=True,
-                        workers=workers,
-                    )
-                finally:
-                    set_fault_plan(None)
-                    set_eval_cache(None)
+                results[mode] = tune_with_model(
+                    compute, space, run_best=True, run=run
+                )
                 walls[mode] = time.perf_counter() - t0
-                del store
             clean, chaos = results["clean"], results["chaos"]
             total_clean += walls["clean"]
             total_chaos += walls["chaos"]

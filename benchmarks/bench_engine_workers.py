@@ -10,6 +10,7 @@ matters.
 """
 
 from repro.autotuner import tune_blackbox
+from repro.engine import RunConfig
 from repro.harness.report import Table
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
@@ -27,10 +28,12 @@ def test_engine_workers(benchmark, scale, show):
 
     def run_both():
         serial = tune_blackbox(
-            compute, space, limit=CANDIDATES, workers=1, keep_scores=True
+            compute, space, limit=CANDIDATES, keep_scores=True,
+            run=RunConfig.from_env(workers=1),
         )
         parallel = tune_blackbox(
-            compute, space, limit=CANDIDATES, workers=2, keep_scores=True
+            compute, space, limit=CANDIDATES, keep_scores=True,
+            run=RunConfig.from_env(workers=2),
         )
         return serial, parallel
 

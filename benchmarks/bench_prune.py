@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.autotuner.calibrate import default_coeffs
 from repro.autotuner.model_tuner import tune_with_model
-from repro.engine import clear_feeds_cache, clear_shared_memo
+from repro.engine import RunConfig, clear_feeds_cache, clear_shared_memo
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
 from repro.primitives.microkernel import clear_schedule_memo
@@ -64,7 +64,8 @@ def run_sweep(shapes, *, quick_space: bool) -> dict:
             _cold_caches()
             t0 = time.perf_counter()
             results[prune] = tune_with_model(
-                compute, space, run_best=True, prune=prune
+                compute, space, run_best=True,
+                run=RunConfig.from_env(prune=prune),
             )
             walls[prune] = time.perf_counter() - t0
         off, on = results[False], results[True]

@@ -13,30 +13,33 @@ import argparse
 import sys
 import time
 
+from .engine import PersistentEvalStore, RunConfig
+from .faults import FaultPlan
 from .harness import experiments as E
 from .harness.scales import SCALES, get_scale
+from .passes import IRDump
 
 
-def _tables(name: str, scale):
+def _tables(name: str, scale, run=None):
     if name == "fig5":
-        yield E.fig5_implicit_conv(scale=scale).table()
+        yield E.fig5_implicit_conv(scale=scale, run=run).table()
     elif name == "fig6":
-        yield E.fig6_winograd_conv(scale=scale).table()
+        yield E.fig6_winograd_conv(scale=scale, run=run).table()
     elif name == "fig7":
-        yield E.fig7_explicit_conv(scale=scale).table()
+        yield E.fig7_explicit_conv(scale=scale, run=run).table()
     elif name in ("tab1", "fig8"):
-        res = E.tab1_fig8_versatility(scale=scale)
+        res = E.tab1_fig8_versatility(scale=scale, run=run)
         yield res.tab1() if name == "tab1" else res.fig8()
     elif name == "tab2":
-        yield E.tab2_gemm(scale=scale).table()
+        yield E.tab2_gemm(scale=scale, run=run).table()
     elif name == "tab3":
-        yield E.tab3_tuning_time(scale=scale).table()
+        yield E.tab3_tuning_time(scale=scale, run=run).table()
     elif name == "fig9":
-        yield E.fig9_model_accuracy(scale=scale).table()
+        yield E.fig9_model_accuracy(scale=scale, run=run).table()
     elif name == "fig10":
-        yield E.fig10_prefetch(scale=scale).table()
+        yield E.fig10_prefetch(scale=scale, run=run).table()
     elif name == "fig11":
-        yield E.fig11_padding(scale=scale).table()
+        yield E.fig11_padding(scale=scale, run=run).table()
     else:
         raise SystemExit(f"unknown experiment {name!r}")
 
@@ -67,7 +70,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help="evaluate tuning candidates on N worker processes "
              "(default: serial; every tuner in the run inherits this)",
@@ -147,51 +150,37 @@ def main(argv=None) -> int:
              "pipeline runs are dumped to keep sweeps readable",
     )
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        from .engine import set_default_workers
-
-        set_default_workers(args.workers)
-    if args.no_prune:
-        from .engine import set_default_prune
-
-        set_default_prune(False)
     if args.resume and args.checkpoint is None:
         parser.error("--resume requires --checkpoint DIR")
-    if args.checkpoint is not None:
-        from .engine import set_default_checkpoint
-
-        set_default_checkpoint(args.checkpoint, resume=args.resume)
-    if args.sanitize:
-        from .machine.sanitizer import set_sanitize
-
-        set_sanitize(True)
-    if args.validate is not None:
-        from .engine import set_default_validate
-
-        set_default_validate(args.validate)
+    plan = None
     if args.inject_faults is not None:
-        from .faults import FaultPlan, set_fault_plan
-
         try:
             plan = FaultPlan.parse(args.inject_faults)
         except ValueError as exc:
             parser.error(f"--inject-faults: {exc}")
-        set_fault_plan(plan)
         print(f"[fault injection: {plan.describe()}]", file=sys.stderr)
-    eval_store = None
-    if args.eval_cache is not None:
-        from .engine import set_eval_cache
-
-        eval_store = set_eval_cache(args.eval_cache)
-    if args.dump_ir is not None:
-        from .passes import set_dump_ir
-
-        set_dump_ir(args.dump_ir)
+    eval_store = (
+        None if args.eval_cache is None
+        else PersistentEvalStore(args.eval_cache)
+    )
+    # the one RunConfig of this invocation: every experiment, tuner and
+    # kernel below receives it explicitly
+    run = RunConfig.from_env(
+        sanitize=True if args.sanitize else None,
+        validate=args.validate,
+        workers=args.workers,
+        prune=not args.no_prune,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        eval_cache=eval_store,
+        faults=plan,
+        dump_ir=None if args.dump_ir is None else IRDump(args.dump_ir),
+    )
     scale = get_scale(args.scale)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     for name in names:
         t0 = time.perf_counter()
-        for table in _tables(name, scale):
+        for table in _tables(name, scale, run):
             print(table.render())
         print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
     if eval_store is not None:

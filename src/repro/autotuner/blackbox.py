@@ -17,27 +17,28 @@ force, and answering from a warm memo would corrupt that measurement
 from __future__ import annotations
 
 import time
-from pathlib import Path
-from typing import Dict, Optional, Union
+from dataclasses import replace
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..dsl.compute import ComputeDef
 from ..dsl.schedule import ScheduleSpace
-from ..errors import SanitizerError, TuningError, ValidationError
+from ..errors import (
+    NoValidCandidateError,
+    SanitizerError,
+    TuningError,
+    ValidationError,
+)
 from ..machine.config import MachineConfig, default_config
 from ..scheduler.lower import LoweringOptions
 from ..engine import (
     CandidatePipeline,
-    Evaluator,
-    MemoizingEvaluator,
-    SimulatorEvaluator,
-    ValidatingEvaluator,
-    resolve_validate,
+    RunConfig,
     search_candidates,
     synthetic_feeds,
 )
-from .model_tuner import _memo_salt
+from .model_tuner import _rejection, _simulator
 from .result import CandidateScore, TuningResult
 
 
@@ -51,72 +52,47 @@ def tune_blackbox(
     feeds: Optional[Dict[str, np.ndarray]] = None,
     keep_scores: bool = False,
     limit: Optional[int] = None,
-    workers: Optional[int] = None,
     memoize: bool = False,
-    prune: bool = False,
-    checkpoint: Union[None, str, Path] = None,
-    resume_from: Union[None, str, Path] = None,
-    validate: Optional[str] = None,
+    run: Optional[RunConfig] = None,
 ) -> TuningResult:
     """Execute every legal candidate; return the measured best.
 
     ``limit`` caps the number of executed candidates (used by smoke
     benches; the paper's black-box numbers use the full space).
-    ``workers`` parallelizes execution (``None`` inherits the
-    process-wide default, see ``repro.engine.set_default_workers``).
-    ``prune`` defaults *off* and deliberately ignores the process-wide
-    pruning default, for the same reason ``memoize`` does: this tuner
-    exists to measure the true cost of brute force.  Opt in explicitly
-    when the cost is not the point -- the admissible bound holds
-    against measured cycles too, so the winner is unchanged.
+    ``run`` (default :meth:`RunConfig.from_env`) gives the workers,
+    sanitizer, fault plan and eval cache exactly as in
+    ``tune_with_model`` -- except ``run.prune``, which is ignored for
+    the same reason ``memoize`` defaults off: this tuner exists to
+    measure the true cost of brute force, so it never prunes (and the
+    exhaustive path is a single batch with nothing to checkpoint).
+    Quarantined candidates (see DESIGN.md "Failure model & recovery")
+    are excluded from the winner; tuning only fails when *every*
+    candidate was quarantined.
 
-    ``checkpoint``/``resume_from`` checkpoint the (pruned) search at
-    batch boundaries exactly as in ``tune_with_model``; the exhaustive
-    path is a single batch with nothing to resume.  Quarantined
-    candidates (see DESIGN.md "Failure model & recovery") are excluded
-    from the winner; tuning only fails when *every* candidate was
-    quarantined.
-
-    ``validate`` selects differential validation exactly as in
+    ``run.validate`` selects differential validation exactly as in
     ``tune_with_model``: ``"winner"`` checks the measured best against
     the NumPy reference before returning (falling through to the next
     score on failure), ``"all"`` validates every execution.
     """
     cfg = config or default_config()
-    mode = resolve_validate(validate)
+    run = replace(run or RunConfig.from_env(), prune=False)
+    mode = run.validate
     data = feeds if feeds is not None else synthetic_feeds(compute)
     t0 = time.perf_counter()
 
     pipeline = CandidatePipeline(
-        compute, space, options=options, config=cfg, prefetch=prefetch
+        compute, space, options=options, config=cfg, prefetch=prefetch,
+        run=run,
     )
-    simulator: Evaluator = SimulatorEvaluator(data, cfg)
-    if mode == "all":
-        simulator = ValidatingEvaluator(simulator, cfg)
-    if memoize:
-        simulator = MemoizingEvaluator(
-            simulator, salt=_memo_salt(options, prefetch)
-        )
-    if resume_from is not None:
-        checkpoint, resume = resume_from, True
-    else:
-        resume = None
-    pairs = search_candidates(
-        pipeline,
-        simulator,
-        workers=workers,
-        prune=bool(prune),
-        limit=limit,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    simulator = _simulator(data, cfg, options, prefetch, memoize, run)
+    pairs = search_candidates(pipeline, simulator, limit=limit)
     if not pairs:
         raise TuningError(
             f"schedule space of {compute.name!r} has no legal candidates"
         )
     usable = [(c, e) for c, e in pairs if not e.failed]
     if not usable:
-        raise TuningError(
+        raise _rejection([e for _, e in pairs])(
             f"every candidate of {compute.name!r} was quarantined "
             f"({len(pairs)} failures); see the engine events for the "
             f"failure chain"
@@ -150,7 +126,7 @@ def tune_blackbox(
             chosen = score
             break
         if chosen is None:
-            raise TuningError(
+            raise NoValidCandidateError(
                 f"every candidate of {compute.name!r} failed "
                 f"differential validation; see the engine events for "
                 f"the failure chain"

@@ -15,14 +15,18 @@ enumerate -> optimize loop, evaluators own prediction/execution, and
 from __future__ import annotations
 
 import time
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..dsl.compute import ComputeDef
 from ..dsl.schedule import ScheduleSpace
-from ..errors import SanitizerError, TuningError, ValidationError
+from ..errors import (
+    NoValidCandidateError,
+    SanitizerError,
+    TuningError,
+    ValidationError,
+)
 from ..machine.config import MachineConfig, default_config
 from ..scheduler.lower import LoweringOptions
 from ..engine import (
@@ -30,10 +34,10 @@ from ..engine import (
     CandidatePipeline,
     Evaluator,
     MemoizingEvaluator,
+    RunConfig,
     SimulatorEvaluator,
     ValidatingEvaluator,
     evaluate_batch,
-    resolve_validate,
     search_candidates,
     synthetic_feeds,
 )
@@ -55,6 +59,40 @@ def _memo_salt(options: Optional[LoweringOptions], prefetch: bool):
     return (opts, bool(prefetch))
 
 
+def _simulator(
+    feeds: Dict[str, np.ndarray],
+    config: MachineConfig,
+    options: Optional[LoweringOptions],
+    prefetch: bool,
+    memoize: bool,
+    run: RunConfig,
+) -> Evaluator:
+    """The measuring evaluator both tuners use: simulate (sanitized as
+    the run says), validate every execution under ``validate="all"``,
+    memoize into the shared memo and the run's eval cache."""
+    simulator: Evaluator = SimulatorEvaluator(
+        feeds, config, sanitize=run.sanitize
+    )
+    if run.validate == "all":
+        simulator = ValidatingEvaluator(simulator, config, faults=run.faults)
+    if memoize:
+        simulator = MemoizingEvaluator(
+            simulator, salt=_memo_salt(options, prefetch), disk=run.eval_cache
+        )
+    return simulator
+
+
+def _rejection(failures) -> type:
+    """The error class for a tuning call whose candidates all failed:
+    :class:`NoValidCandidateError` when every failure was a validation
+    or sanitizer rejection, plain :class:`TuningError` otherwise."""
+    unsafe = all(
+        f.site == "validation" or f.error_type == SanitizerError.__name__
+        for f in failures
+    )
+    return NoValidCandidateError if unsafe else TuningError
+
+
 def tune_with_model(
     compute: ComputeDef,
     space: ScheduleSpace,
@@ -67,72 +105,55 @@ def tune_with_model(
     feeds: Optional[Dict[str, np.ndarray]] = None,
     keep_scores: bool = False,
     top_k: int = 1,
-    workers: Optional[int] = None,
     memoize: bool = True,
-    prune: Optional[bool] = None,
-    checkpoint: Union[None, str, Path] = None,
-    resume_from: Union[None, str, Path] = None,
-    validate: Optional[str] = None,
+    run: Optional[RunConfig] = None,
 ) -> TuningResult:
     """Rank all candidates analytically; execute the best.
 
     ``top_k > 1`` re-measures the k best predictions and keeps the
     fastest -- the paper's "pick best (or top k)" refinement.
-    ``workers`` parallelizes evaluation (``None`` inherits the
-    process-wide default, see ``repro.engine.set_default_workers``);
     ``memoize`` reuses measured runs of strategies already executed
-    anywhere in this process.  ``prune`` enables branch-and-bound
-    pruning (``None`` inherits the process-wide default, see
-    ``repro.engine.set_default_prune``): candidates whose admissible
-    cost bound exceeds the ``top_k``-th best prediction so far are
-    never lowered or scored.  The winner and the re-measured top-K are
-    bit-identical either way; only ``evaluated`` and the stage
-    counters change.
+    anywhere in this process (and, with ``run.eval_cache``, in earlier
+    processes).
 
-    ``checkpoint`` names a sidecar the search updates at every batch
-    boundary; ``resume_from`` both names it and restores it, so an
-    interrupted ``tune_with_model`` finishes with a bit-identical
-    result.  Candidates quarantined by supervision (see
+    ``run`` (default :meth:`RunConfig.from_env`) configures the rest:
+    ``workers`` parallelizes evaluation; ``prune`` enables
+    branch-and-bound pruning -- candidates whose admissible cost bound
+    exceeds the ``top_k``-th best prediction so far are never lowered
+    or scored, while the winner and the re-measured top-K stay
+    bit-identical (only ``evaluated`` and the stage counters change);
+    ``checkpoint``/``resume`` checkpoint the search at every batch
+    boundary so an interrupted ``tune_with_model`` finishes with a
+    bit-identical result.  Candidates quarantined by supervision (see
     DESIGN.md "Failure model & recovery") are excluded from ranking;
     tuning only fails if *every* candidate was quarantined.
 
-    ``validate`` selects differential validation (``None`` inherits the
-    process-wide default, see ``repro.engine.set_default_validate``):
-    ``"winner"`` validates the selected winner against the NumPy
-    reference before returning (falling through to the next finalist on
-    failure), ``"all"`` validates every measured candidate.  On a
-    fault-free space validation never changes the winner -- it is a
-    check, not a perturbation.
+    ``run.validate`` selects differential validation: ``"winner"``
+    validates the selected winner against the NumPy reference before
+    returning (falling through to the next finalist on failure),
+    ``"all"`` validates every measured candidate.  On a fault-free
+    space validation never changes the winner -- it is a check, not a
+    perturbation.
     """
     cfg = config or default_config()
-    mode = resolve_validate(validate)
+    run = run or RunConfig.from_env()
+    mode = run.validate
     t0 = time.perf_counter()
     ukernel_before = schedule_memo_stats().hits
-    if resume_from is not None:
-        checkpoint, resume = resume_from, True
-    else:
-        resume = None
 
     pipeline = CandidatePipeline(
-        compute, space, options=options, config=cfg, prefetch=prefetch
+        compute, space, options=options, config=cfg, prefetch=prefetch,
+        run=run,
     )
     analytic = AnalyticEvaluator(coeffs, cfg)
-    pairs = search_candidates(
-        pipeline,
-        analytic,
-        top_k=max(1, top_k),
-        workers=workers,
-        prune=prune,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    pairs = search_candidates(pipeline, analytic, top_k=max(1, top_k))
     if not pairs:
         raise TuningError(
             f"schedule space of {compute.name!r} has no legal candidates"
         )
     usable = [(c, e) for c, e in pairs if not e.failed]
     if not usable:
-        raise TuningError(
+        raise _rejection([e for _, e in pairs])(
             f"every candidate of {compute.name!r} was quarantined "
             f"({len(pairs)} failures); see the engine events for the "
             f"failure chain"
@@ -149,21 +170,15 @@ def tune_with_model(
     report = None
     if run_best:
         data = feeds if feeds is not None else synthetic_feeds(compute)
-        simulator: Evaluator = SimulatorEvaluator(data, cfg)
-        if mode == "all":
-            simulator = ValidatingEvaluator(simulator, cfg)
-        if memoize:
-            simulator = MemoizingEvaluator(
-                simulator, salt=_memo_salt(options, prefetch)
-            )
+        simulator = _simulator(data, cfg, options, prefetch, memoize, run)
         measured = evaluate_batch(
             [s.candidate for s in finalists],
             simulator,
-            workers=workers,
+            run=run,
             metrics=pipeline.metrics,
         )
         if all(evaluation.failed for evaluation in measured):
-            raise TuningError(
+            raise _rejection(measured)(
                 f"every finalist of {compute.name!r} was quarantined "
                 f"during measurement; see the engine events for the "
                 f"failure chain"
@@ -198,7 +213,7 @@ def tune_with_model(
             chosen = score
             break
         if chosen is None:
-            raise TuningError(
+            raise NoValidCandidateError(
                 f"every candidate of {compute.name!r} failed "
                 f"differential validation; see the engine events for "
                 f"the failure chain"

@@ -103,8 +103,10 @@ def xmath_gemm(
     b: np.ndarray,
     *,
     config: Optional[MachineConfig] = None,
+    sanitize: bool = False,
 ) -> XmathResult:
-    """``C = A @ B`` the way the manual library does it on one CG."""
+    """``C = A @ B`` the way the manual library does it on one CG
+    (``sanitize`` as on :class:`~repro.codegen.executor.CompiledKernel`)."""
     cfg = config or default_config()
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise WorkloadError(f"bad GEMM operands {a.shape} x {b.shape}")
@@ -112,13 +114,13 @@ def xmath_gemm(
     n = b.shape[1]
 
     if is_aligned(m, n, k):
-        return XmathResult(*_run_aligned(a, b, cfg), padded=False)
+        return XmathResult(*_run_aligned(a, b, cfg, sanitize), padded=False)
 
     # traditional padding path: pad all three dims to whole blocks
     mp, np_, kp = pad_up(m, BLOCK_M), pad_up(n, BLOCK_N), pad_up(k, BLOCK_K)
     ap = pad_tensor(np.asarray(a, np.float32), (mp, kp))
     bp = pad_tensor(np.asarray(b, np.float32), (kp, np_))
-    out_p, rep = _run_aligned(ap, bp, cfg)
+    out_p, rep = _run_aligned(ap, bp, cfg, sanitize)
     pad_cycles = (
         traditional_pad_cost((m, k), (mp, kp), cfg).cycles
         + traditional_pad_cost((k, n), (kp, np_), cfg).cycles
@@ -139,7 +141,7 @@ def xmath_gemm(
 
 
 def _run_aligned(
-    a: np.ndarray, b: np.ndarray, cfg: MachineConfig
+    a: np.ndarray, b: np.ndarray, cfg: MachineConfig, sanitize: bool
 ) -> Tuple[np.ndarray, SimReport]:
     m, k = a.shape
     n = b.shape[1]
@@ -147,7 +149,7 @@ def _run_aligned(
     strategy = ScheduleStrategy(_fixed_strategy(m, n, k))
     kernel = lower_strategy(compute, strategy, config=cfg)
     ck = compile_candidate(
-        Candidate(strategy, kernel, compute), config=cfg
+        Candidate(strategy, kernel, compute), config=cfg, sanitize=sanitize
     )
     res = ck.run({"A": np.asarray(a, np.float32), "B": np.asarray(b, np.float32)})
     report = res.report

@@ -16,6 +16,7 @@ def compile_candidate(
     *,
     prefetch: bool = True,
     config: Optional[MachineConfig] = None,
+    sanitize: bool = False,
 ) -> CompiledKernel:
     """Run the optimizer pass pipeline on a raw candidate and bind it
     to the machine: DMA inference (+hoisting), then automatic latency
@@ -31,7 +32,7 @@ def compile_candidate(
     kernel = PassManager(optimize_passes(prefetch=prefetch)).run(
         ctx, candidate.kernel
     )
-    return CompiledKernel(kernel, candidate.compute, cfg)
+    return CompiledKernel(kernel, candidate.compute, cfg, sanitize=sanitize)
 
 
 __all__ = [

@@ -45,7 +45,7 @@ from ..ir.nodes import (
 from ..machine.config import MachineConfig, default_config
 from ..machine.dma import MEM_TO_SPM
 from ..machine.memory import MainMemory
-from ..machine.sanitizer import MachineSanitizer, resolve_sanitize
+from ..machine.sanitizer import MachineSanitizer
 from ..machine.spm import partition_extent
 from ..machine.trace import SimReport, Trace
 from ..optimizer.dma_inference import flatten_access, storage_shapes
@@ -62,7 +62,12 @@ class RunResult:
 
 
 class CompiledKernel:
-    """An optimized kernel bound to the machine model."""
+    """An optimized kernel bound to the machine model.
+
+    ``sanitize`` runs it under the machine sanitizer; ``faults`` is the
+    run's
+    :class:`~repro.faults.FaultPlan`, whose poison may silently corrupt
+    the outputs."""
 
     def __init__(
         self,
@@ -70,12 +75,14 @@ class CompiledKernel:
         compute: ComputeDef,
         config: Optional[MachineConfig] = None,
         *,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = False,
+        faults=None,
     ) -> None:
         self.kernel = kernel
         self.compute = compute
         self.config = config or default_config()
-        self.sanitize = resolve_sanitize(sanitize)
+        self.sanitize = sanitize
+        self.faults = faults
         self.spm_plan = plan_spm(kernel, self.config)  # validates capacity
         self.storage_shapes = storage_shapes(kernel, compute)
         self._validate()
@@ -114,12 +121,11 @@ class CompiledKernel:
         the operator contract, as in swDNN/xMath).  Output tensors are
         returned in logical order.
         """
-        from ..faults import maybe_corrupt_outputs
-
         state = _ExecState(self, feeds)
         state.execute(self.kernel.body, {})
         outputs = state.collect_outputs()
-        maybe_corrupt_outputs(self.compute, outputs)
+        if self.faults is not None:
+            self.faults.corrupt_outputs(self.compute, outputs)
         report = SimReport.from_trace(
             state.trace,
             makespan=state.now,

@@ -18,6 +18,9 @@ as :class:`FailedEvaluation` records instead of aborting the sweep, and
 the branch-and-bound driver checkpoints its state at batch boundaries
 (:mod:`~repro.engine.checkpoint`) so an interrupted sweep resumes to a
 bit-identical result.  See DESIGN.md "Failure model & recovery".
+
+Every entry point takes an optional frozen :class:`RunConfig`
+(:mod:`~repro.engine.runconfig`); no run setting is process-wide.
 """
 
 from .bounds import (
@@ -26,19 +29,12 @@ from .bounds import (
     definitely_infeasible,
     strategy_bound,
 )
-from .checkpoint import (
-    SearchCheckpoint,
-    default_checkpoint_policy,
-    search_digest,
-    set_default_checkpoint,
-)
+from .checkpoint import SearchCheckpoint, checkpoint_path, search_digest
 from .evalcache import (
     PersistentEvalStore,
     atomic_write_json,
-    default_eval_store,
     quarantine_corrupt,
     recover_truncated_json,
-    set_eval_cache,
 )
 from .evaluators import (
     AnalyticEvaluator,
@@ -55,32 +51,16 @@ from .evaluators import (
     synthetic_feeds,
 )
 from .metrics import EngineEvent, EngineMetrics, PruneBatch, StageStats
-from .parallel import (
-    SupervisionPolicy,
-    default_workers,
-    evaluate_batch,
-    reset_degradation_warnings,
-    resolve_policy,
-    resolve_workers,
-    set_default_policy,
-    set_default_workers,
-)
+from .parallel import evaluate_batch, reset_degradation_warnings
 from .pipeline import CandidatePipeline, clip_strategy, compile_strategy
-from .search import (
-    default_prune,
-    resolve_prune,
-    search_candidates,
-    set_default_prune,
-)
+from .runconfig import RunConfig
+from .search import search_candidates
 from .validate import (
     VALIDATE_MODES,
     ValidatingEvaluator,
     ValidationReport,
     compare_tensors,
-    default_validate,
     reference_outputs,
-    resolve_validate,
-    set_default_validate,
     tolerance_for,
     validate_candidate,
     validate_kernel,
@@ -99,44 +79,30 @@ __all__ = [
     "MemoizingEvaluator",
     "PersistentEvalStore",
     "PruneBatch",
+    "RunConfig",
     "SearchCheckpoint",
     "SimulatorEvaluator",
     "StageStats",
     "StrategyBound",
-    "SupervisionPolicy",
     "VALIDATE_MODES",
     "ValidatingEvaluator",
     "ValidationReport",
     "atomic_write_json",
+    "checkpoint_path",
     "compare_tensors",
     "clear_feeds_cache",
     "clear_shared_memo",
     "clip_strategy",
     "compile_strategy",
     "compute_signature",
-    "default_checkpoint_policy",
-    "default_eval_store",
-    "default_prune",
-    "default_validate",
-    "default_workers",
     "definitely_infeasible",
     "evaluate_batch",
     "quarantine_corrupt",
     "recover_truncated_json",
     "reference_outputs",
     "reset_degradation_warnings",
-    "resolve_policy",
-    "resolve_prune",
-    "resolve_validate",
-    "resolve_workers",
     "search_candidates",
     "search_digest",
-    "set_default_checkpoint",
-    "set_default_policy",
-    "set_default_prune",
-    "set_default_validate",
-    "set_default_workers",
-    "set_eval_cache",
     "shared_memo_size",
     "strategy_key",
     "strategy_bound",

@@ -14,16 +14,16 @@ final winner and top-K are bit-identical to an uninterrupted one
 
 A checkpoint is only trusted when its ``version``, code ``salt`` and
 ``space`` digest (compute signature + strategy count + search
-parameters + evaluator fingerprint) all match the running search; a
+parameters + evaluator fingerprint + lowering options and prefetch)
+all match the running search; a
 mismatch starts fresh, and an unparseable file is quarantined to a
 ``*.corrupt`` sidecar like every other persistence file.
 
-``set_default_checkpoint`` is the process-wide knob behind the CLI's
-``--checkpoint DIR`` / ``--resume`` flags: experiment sweeps run many
-searches, so the default names one file per search digest inside the
-directory.  ``tune_with_model(..., resume_from=PATH)`` and
-``tune_blackbox(..., resume_from=PATH)`` target one explicit file
-instead.
+Checkpointing is configured per run: the ``checkpoint`` directory and
+``resume`` flag of a :class:`~repro.engine.runconfig.RunConfig` (the
+CLI's ``--checkpoint DIR`` / ``--resume``).  Experiment sweeps run many
+searches, so each search writes its own file named after its digest
+(:func:`checkpoint_path`) inside that directory.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from .metrics import PruneBatch
 __all__ = [
     "CHECKPOINT_VERSION",
     "SearchCheckpoint",
-    "default_checkpoint_policy",
+    "checkpoint_path",
     "search_digest",
-    "set_default_checkpoint",
 ]
 
 logger = logging.getLogger(__name__)
@@ -65,10 +64,13 @@ def search_digest(
     top_k: int,
     batch: int,
     evaluator,
+    lowering: Tuple,
 ) -> str:
     """Identity of one search problem: only a checkpoint written by a
     bit-identical search (same space, same parameters, same evaluator
-    family and fitted parameters) may be resumed."""
+    family and fitted parameters, same ``lowering`` context -- options
+    and prefetch, which change every kernel without changing the
+    strategies) may be resumed."""
     params = None
     params_key = getattr(evaluator, "params_key", None)
     if callable(params_key):
@@ -80,6 +82,7 @@ def search_digest(
         int(batch),
         getattr(evaluator, "kind", "?"),
         repr(params),
+        repr(lowering),
     )
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
@@ -238,34 +241,7 @@ class SearchCheckpoint:
         return _eval_from_dict(raw, config)
 
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """Process-wide default checkpointing: a directory that receives
-    one ``search-<digest>.json`` per distinct search, plus whether
-    existing checkpoints should be resumed."""
-
-    directory: Path
-    resume: bool = False
-
-    def path_for(self, digest: str) -> Path:
-        return self.directory / f"search-{digest[:16]}.json"
-
-
-_DEFAULT_POLICY: Optional[CheckpointPolicy] = None
-
-
-def set_default_checkpoint(
-    directory: Union[None, str, Path], *, resume: bool = False
-) -> Optional[CheckpointPolicy]:
-    """Install (or clear, with ``None``) the process-wide checkpoint
-    directory (the CLI's ``--checkpoint DIR`` / ``--resume``)."""
-    global _DEFAULT_POLICY
-    if directory is None:
-        _DEFAULT_POLICY = None
-    else:
-        _DEFAULT_POLICY = CheckpointPolicy(Path(directory), resume=resume)
-    return _DEFAULT_POLICY
-
-
-def default_checkpoint_policy() -> Optional[CheckpointPolicy]:
-    return _DEFAULT_POLICY
+def checkpoint_path(directory: Union[str, Path], digest: str) -> Path:
+    """The file one search (identified by :func:`search_digest`)
+    checkpoints to inside a run's checkpoint directory."""
+    return Path(directory) / f"search-{digest[:16]}.json"

@@ -36,10 +36,11 @@ Design points:
   ``*.corrupt`` sidecar with a logged reason so the evidence survives
   for diagnosis instead of being overwritten on the next flush.
 
-``set_eval_cache`` installs a process-wide default store (the CLI's
-``--eval-cache PATH`` and ``AtopLibrary(eval_cache_path=...)`` both
-route here); every :class:`MemoizingEvaluator` without an explicit
-``disk`` argument picks it up.
+A store is owned by one run: it is the ``eval_cache`` field of a
+:class:`~repro.engine.runconfig.RunConfig` (the CLI's ``--eval-cache
+PATH`` builds one), and the tuners hand it to their
+:class:`MemoizingEvaluator` as its ``disk`` tier.  It never leaves the
+parent process.
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ __all__ = [
     "EVAL_CACHE_VERSION",
     "PersistentEvalStore",
     "atomic_write_json",
-    "default_eval_store",
     "quarantine_corrupt",
     "recover_truncated_json",
-    "set_eval_cache",
 ]
 
 logger = logging.getLogger(__name__)
@@ -107,11 +106,6 @@ def report_from_dict(
         config=config or default_config(),
         **{name: raw[name] for name in _REPORT_FIELDS if name in raw},
     )
-
-
-# private aliases kept for older call sites
-_report_to_dict = report_to_dict
-_report_from_dict = report_from_dict
 
 
 # --- shared persistence helpers ---------------------------------------
@@ -331,8 +325,9 @@ class PersistentEvalStore:
             return None
         return (pred, meas, report)
 
-    def flush(self) -> None:
-        """Atomically write pending entries to disk (no-op when clean)."""
+    def flush(self, faults=None) -> None:
+        """Atomically write pending entries to disk (no-op when clean).
+        ``faults`` is the run's :class:`~repro.faults.FaultPlan`."""
         if not self._dirty:
             return
         payload = {
@@ -342,18 +337,14 @@ class PersistentEvalStore:
         }
         atomic_write_json(self.path, payload)
         self._dirty = False
-        self._inject_flush_faults()
+        if faults is not None:
+            self._inject_flush_faults(faults)
         self._flush_seq += 1
 
-    def _inject_flush_faults(self) -> None:
-        """Chaos hook: an active ``corrupt`` fault truncates the file
+    def _inject_flush_faults(self, plan) -> None:
+        """Chaos hook: a firing ``corrupt`` fault truncates the file
         just written, simulating a torn write the next load must
         survive."""
-        from ..faults import active_fault_plan
-
-        plan = active_fault_plan()
-        if plan is None:
-            return
         if not plan.should_fire(
             "corrupt", f"{self.path.name}:{self._flush_seq}"
         ):
@@ -432,30 +423,3 @@ class PersistentEvalStore:
         if self.quarantined_path is not None:
             text += f" [corrupt original at {self.quarantined_path}]"
         return text
-
-
-#: the process-wide default store (None = persistence disabled).
-_DEFAULT_STORE: Optional[PersistentEvalStore] = None
-
-
-def set_eval_cache(
-    target: Union[None, str, Path, PersistentEvalStore]
-) -> Optional[PersistentEvalStore]:
-    """Install (or clear, with ``None``) the process-wide eval cache.
-
-    Accepts a path (a store is created/loaded there) or a ready-made
-    :class:`PersistentEvalStore`.  Returns the installed store so
-    callers can inspect or flush it.
-    """
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is not None and _DEFAULT_STORE is not target:
-        _DEFAULT_STORE.flush()
-    if target is None or isinstance(target, PersistentEvalStore):
-        _DEFAULT_STORE = target
-    else:
-        _DEFAULT_STORE = PersistentEvalStore(target)
-    return _DEFAULT_STORE
-
-
-def default_eval_store() -> Optional[PersistentEvalStore]:
-    return _DEFAULT_STORE

@@ -216,9 +216,10 @@ class SimulatorEvaluator(Evaluator):
     """Compile and run on the simulated machine.
 
     ``feeds=None`` generates deterministic synthetic inputs per compute.
-    ``executions`` counts real simulated runs on *this* instance (in
-    parallel batches the counting happens in worker processes, so use
-    the batch metrics there instead).
+    ``sanitize`` runs every kernel under the machine sanitizer; the
+    flag travels with the evaluator into worker processes.  ``executions`` counts real simulated runs on *this*
+    instance (in parallel batches the counting happens in worker
+    processes, so use the batch metrics there instead).
     """
 
     kind = "simulator"
@@ -228,11 +229,19 @@ class SimulatorEvaluator(Evaluator):
         feeds: Optional[Dict[str, np.ndarray]] = None,
         config: Optional[MachineConfig] = None,
         seed: int = 0,
+        *,
+        sanitize: bool = False,
     ) -> None:
         self.feeds = feeds
         self.config = config or default_config()
         self.seed = seed
+        self.sanitize = sanitize
         self.executions = 0
+
+    def params_key(self) -> Optional[Tuple]:
+        # a sanitized run must execute its kernels under the sanitizer,
+        # not reuse scores of unsanitized runs
+        return ("sanitize",) if self.sanitize else None
 
     def evaluate(self, candidate: Candidate) -> Evaluation:
         from ..codegen.executor import CompiledKernel
@@ -242,7 +251,10 @@ class SimulatorEvaluator(Evaluator):
             if self.feeds is not None
             else synthetic_feeds(candidate.compute, self.seed)
         )
-        ck = CompiledKernel(candidate.kernel, candidate.compute, self.config)
+        ck = CompiledKernel(
+            candidate.kernel, candidate.compute, self.config,
+            sanitize=self.sanitize,
+        )
         self.executions += 1
         report = ck.run(feeds).report
         return Evaluation(measured_cycles=report.cycles, report=report)
@@ -262,12 +274,6 @@ def shared_memo_size() -> int:
     return len(_SHARED_MEMO)
 
 
-#: "disk not specified" marker: resolved to the process-wide default
-#: store (see :func:`repro.engine.evalcache.set_eval_cache`) at lookup
-#: time, so installing a cache after evaluators were built still works.
-_DEFAULT_DISK = object()
-
-
 class MemoizingEvaluator(Evaluator):
     """Memo layer over another evaluator.
 
@@ -285,8 +291,9 @@ class MemoizingEvaluator(Evaluator):
 
     Lookup is tiered: the in-process ``store`` first, then the optional
     persistent ``disk`` store (:class:`~repro.engine.evalcache
-    .PersistentEvalStore`); disk hits are promoted into the in-process
-    store so they pay the digest cost once.
+    .PersistentEvalStore`, the run's ``eval_cache``); disk hits are
+    promoted into the in-process store so they pay the digest cost
+    once.
     """
 
     def __init__(
@@ -295,23 +302,15 @@ class MemoizingEvaluator(Evaluator):
         *,
         store: Optional[MutableMapping[Tuple, Evaluation]] = None,
         salt: Optional[Tuple] = None,
-        disk=_DEFAULT_DISK,
+        disk=None,
     ) -> None:
         self.inner = inner
         self.kind = inner.kind
         self.store = _SHARED_MEMO if store is None else store
         self.salt = salt
-        self._disk = disk
+        self.disk = disk
         self.hits = 0
         self.disk_hits = 0
-
-    @property
-    def disk(self):
-        if self._disk is not _DEFAULT_DISK:
-            return self._disk
-        from .evalcache import default_eval_store
-
-        return default_eval_store()
 
     def key(self, candidate: Candidate) -> Tuple:
         config = getattr(self.inner, "config", None)
@@ -345,15 +344,14 @@ class MemoizingEvaluator(Evaluator):
             return  # quarantined candidates must never poison the memo
         key = self.key(candidate)
         self.store[key] = replace(evaluation, memoized=False)
-        disk = self.disk
-        if disk is not None:
-            disk.put(key, evaluation)
+        if self.disk is not None:
+            self.disk.put(key, evaluation)
 
-    def flush(self) -> None:
-        """Persist pending disk-store entries (no-op without a disk)."""
-        disk = self.disk
-        if disk is not None:
-            disk.flush()
+    def flush(self, faults=None) -> None:
+        """Persist pending disk-store entries (no-op without a disk);
+        ``faults`` is the run's fault plan (its ``corrupt`` rate)."""
+        if self.disk is not None:
+            self.disk.flush(faults)
 
     def evaluate(self, candidate: Candidate) -> Evaluation:
         hit = self.lookup(candidate)

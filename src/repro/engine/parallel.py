@@ -10,10 +10,10 @@ never in *how*.
 Failure model (see DESIGN.md "Failure model & recovery"):
 
 * **Supervision, not silent fallback.**  A worker crash, an evaluator
-  exception, a hang (wall-clock chunk timeout or an injected
-  virtual-clock one) never aborts the batch and never silently re-runs
-  everything serially.  The failing chunk is retried up to
-  ``SupervisionPolicy.max_retries`` times, then *bisected* so the
+  exception, a hang (a pool-wide timeout or an injected virtual-clock
+  one) never aborts the batch and never silently re-runs everything
+  serially.  The failing chunk is retried up to :data:`MAX_RETRIES`
+  times, then *bisected* so the
   poison candidate is isolated; a candidate that still fails alone is
   quarantined and reported as a structured
   :class:`~repro.engine.evaluators.FailedEvaluation` carrying the
@@ -29,10 +29,9 @@ Failure model (see DESIGN.md "Failure model & recovery"):
   pickling errors fall back to the (still supervised) serial path, and
   doing so warns once per cause and counts ``degraded_batches``.
 
-``set_default_workers`` is the process-wide knob the CLI's
-``--workers`` flag sets; call sites that pass ``workers=None`` inherit
-it, so parallelism reaches every tuner without threading a parameter
-through the whole harness.
+The worker count is ``RunConfig.workers`` (the CLI's ``--workers``);
+the fault plan in ``RunConfig.faults`` reaches the workers only inside
+the :class:`~repro.faults.FaultyEvaluator` they are sent.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from ..faults import (
     FaultyEvaluator,
     InjectedCrash,
     InjectedHang,
-    active_fault_plan,
     set_current_attempt,
 )
 from ..scheduler.enumerate import Candidate
@@ -65,57 +63,13 @@ from .evaluators import (
     MemoizingEvaluator,
 )
 from .metrics import EngineMetrics
+from .runconfig import RunConfig
 
-_DEFAULT_WORKERS = 1
-
-
-def set_default_workers(workers: int) -> None:
-    """Set the process-wide default worker count (used by ``--workers``)."""
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = max(1, int(workers))
-
-
-def default_workers() -> int:
-    return _DEFAULT_WORKERS
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    return _DEFAULT_WORKERS if workers is None else max(1, int(workers))
-
-
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """How the batch supervisor reacts to failing evaluations.
-
-    ``chunk_timeout`` is wall-clock seconds allowed per dispatched
-    chunk (``None`` disables the timeout; injected virtual-clock hangs
-    are handled regardless).  ``max_retries`` is how many failed
-    attempts one chunk (or, serially, one candidate) gets before the
-    supervisor escalates: a multi-candidate chunk is bisected to
-    isolate the poison, a single candidate is quarantined as a
-    :class:`~repro.engine.evaluators.FailedEvaluation`.
-    """
-
-    chunk_timeout: Optional[float] = None
-    max_retries: int = 2
-
-
-_DEFAULT_POLICY = SupervisionPolicy()
-
-
-def set_default_policy(policy: Optional[SupervisionPolicy]) -> None:
-    """Set the process-wide supervision policy (``None`` restores the
-    built-in defaults)."""
-    global _DEFAULT_POLICY
-    _DEFAULT_POLICY = policy if policy is not None else SupervisionPolicy()
-
-
-def default_policy() -> SupervisionPolicy:
-    return _DEFAULT_POLICY
-
-
-def resolve_policy(policy: Optional[SupervisionPolicy]) -> SupervisionPolicy:
-    return _DEFAULT_POLICY if policy is None else policy
+#: failed attempts one chunk (or, serially, one candidate) gets before
+#: the supervisor escalates: a multi-candidate chunk is bisected to
+#: isolate the poison, a single candidate is quarantined as a
+#: :class:`~repro.engine.evaluators.FailedEvaluation`.
+MAX_RETRIES = 2
 
 
 # The evaluator is shipped to each worker once (pool initializer), not
@@ -235,7 +189,6 @@ def _make_pool(workers: int, evaluator: Evaluator) -> ProcessPoolExecutor:
 def _handle_chunk_failure(
     chunk: _Chunk,
     exc: BaseException,
-    policy: SupervisionPolicy,
     metrics: EngineMetrics,
     pending: "deque[_Chunk]",
     out: List[Tuple[int, Evaluation]],
@@ -245,7 +198,7 @@ def _handle_chunk_failure(
     site = _classify(exc)
     attempts = chunk.attempts + 1
     indices = [i for i, _ in chunk.items]
-    if attempts <= policy.max_retries:
+    if attempts <= MAX_RETRIES:
         metrics.retries += 1
         metrics.record_event(
             "retry",
@@ -278,7 +231,6 @@ def _run_parallel(
     evaluator: Evaluator,
     workers: int,
     chunk_size: Optional[int],
-    policy: SupervisionPolicy,
     metrics: EngineMetrics,
 ) -> Optional[List[Tuple[int, Evaluation]]]:
     """Supervised pool dispatch; ``None`` means "degrade to serial"
@@ -318,7 +270,7 @@ def _run_parallel(
             ]
             for j, (fut, chunk) in enumerate(futures):
                 try:
-                    out.extend(fut.result(timeout=policy.chunk_timeout))
+                    out.extend(fut.result())
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:
@@ -331,7 +283,7 @@ def _run_parallel(
                         # future-specific failure: the pool is healthy
                         # and attribution is exact.
                         _handle_chunk_failure(
-                            chunk, exc, policy, metrics, pending, out
+                            chunk, exc, metrics, pending, out
                         )
                         continue
                     # pool-wide failure: kill the pool, salvage the
@@ -349,7 +301,7 @@ def _run_parallel(
                     )
                     if isolate:
                         _handle_chunk_failure(
-                            chunk, exc, policy, metrics, pending, out
+                            chunk, exc, metrics, pending, out
                         )
                     else:
                         pending.append(chunk)
@@ -377,10 +329,9 @@ def _run_parallel(
 def _run_serial(
     todo: Sequence[Tuple[int, Candidate]],
     evaluator: Evaluator,
-    policy: SupervisionPolicy,
     metrics: EngineMetrics,
 ) -> List[Tuple[int, Evaluation]]:
-    """The in-process path, under the same supervision policy: failing
+    """The in-process path, under the same supervision: failing
     candidates are retried then quarantined, never allowed to abort
     the batch."""
     out: List[Tuple[int, Evaluation]] = []
@@ -397,7 +348,7 @@ def _run_serial(
                 except Exception as exc:
                     site = _classify(exc)
                     attempts += 1
-                    if attempts <= policy.max_retries:
+                    if attempts <= MAX_RETRIES:
                         metrics.retries += 1
                         metrics.record_event(
                             "retry",
@@ -424,10 +375,9 @@ def evaluate_batch(
     candidates: Iterable[Candidate],
     evaluator: Evaluator,
     *,
-    workers: Optional[int] = None,
+    run: Optional[RunConfig] = None,
     metrics: Optional[EngineMetrics] = None,
     chunk_size: Optional[int] = None,
-    policy: Optional[SupervisionPolicy] = None,
 ) -> List[Evaluation]:
     """Score every candidate; ``results[i]`` belongs to ``candidates[i]``.
 
@@ -441,17 +391,17 @@ def evaluate_batch(
     worker, a raising evaluator or a hang yields a
     :class:`FailedEvaluation` at that candidate's position after
     retries and bisection, never an aborted or silently-serialized
-    batch.  When a :mod:`repro.faults` plan is active the dispatched
-    evaluator is wrapped to inject the planned faults.
+    batch.  ``run`` (default :meth:`RunConfig.from_env`) gives the
+    worker count; when it carries a fault plan the dispatched evaluator
+    is wrapped to inject the planned faults.
     """
+    run = run or RunConfig.from_env()
     cands = list(candidates)
-    n = resolve_workers(workers)
-    sup = resolve_policy(policy)
+    n = run.workers
     memo = evaluator if isinstance(evaluator, MemoizingEvaluator) else None
     inner = memo.inner if memo is not None else evaluator
-    plan = active_fault_plan()
     dispatch = (
-        FaultyEvaluator(inner, plan) if plan is not None else inner
+        inner if run.faults is None else FaultyEvaluator(inner, run.faults)
     )
 
     results: List[Optional[Evaluation]] = [None] * len(cands)
@@ -472,15 +422,16 @@ def evaluate_batch(
     if todo:
         done = None
         if n > 1 and len(todo) > 1:
-            done = _run_parallel(todo, dispatch, n, chunk_size, sup, m)
+            done = _run_parallel(todo, dispatch, n, chunk_size, m)
         if done is None:
-            done = _run_serial(todo, dispatch, sup, m)
+            done = _run_serial(todo, dispatch, m)
         for i, evaluation in done:
             results[i] = evaluation
             if memo is not None and not evaluation.failed:
                 memo.remember(cands[i], evaluation)
         if memo is not None:
-            memo.flush()  # persist new scores at the batch boundary
+            # persist new scores at the batch boundary
+            memo.flush(run.faults)
     if metrics is not None:
         metrics.stage_for(inner.kind).add(
             time.perf_counter() - t0, count=len(todo)

@@ -38,6 +38,7 @@ from ..scheduler.enumerate import Candidate, EnumerationStats
 from ..scheduler.lower import LoweringOptions
 from .bounds import StrategyBound, definitely_infeasible, strategy_bound
 from .metrics import EngineMetrics
+from .runconfig import RunConfig
 
 
 def clip_strategy(
@@ -70,7 +71,11 @@ def clip_strategy(
 class CandidatePipeline:
     """Prepares candidates of one operator: enumerate legal strategies,
     lower them through the verified pass pipeline, run the optimizer
-    passes (DMA inference + hoisting, automatic latency hiding)."""
+    passes (DMA inference + hoisting, automatic latency hiding).
+
+    ``run`` (default :meth:`RunConfig.from_env`) is the run this
+    pipeline serves: its ``dump_ir`` reaches both pass managers and its
+    sanitizer/fault settings reach :meth:`validate`."""
 
     def __init__(
         self,
@@ -82,7 +87,9 @@ class CandidatePipeline:
         registry: Optional[PrimitiveRegistry] = None,
         prefetch: bool = True,
         metrics: Optional[EngineMetrics] = None,
+        run: Optional[RunConfig] = None,
     ) -> None:
+        self.run = run or RunConfig.from_env()
         self.compute = compute
         self.space = space
         self.options = options
@@ -92,12 +99,16 @@ class CandidatePipeline:
         self.metrics = EngineMetrics() if metrics is None else metrics
         self.stats = EnumerationStats()
         self.lowerer = PassManager(
-            lowering_passes(), metrics=self.metrics, stage="lowering"
+            lowering_passes(),
+            metrics=self.metrics,
+            stage="lowering",
+            dump=self.run.dump_ir,
         )
         self.optimizer = PassManager(
             optimize_passes(prefetch=prefetch),
             metrics=self.metrics,
             stage="optimization",
+            dump=self.run.dump_ir,
         )
 
     def _context(self, strategy: Optional[ScheduleStrategy]) -> PassContext:
@@ -212,7 +223,10 @@ class CandidatePipeline:
 
         t0 = time.perf_counter()
         try:
-            report = validate_candidate(candidate, self.config, seed=seed)
+            report = validate_candidate(
+                candidate, self.config, seed=seed,
+                sanitize=self.run.sanitize, faults=self.run.faults,
+            )
         except (ValidationError, SanitizerError) as exc:
             self.metrics.validation_failures += 1
             kind = (
@@ -233,16 +247,18 @@ def compile_strategy(
     options: Optional[LoweringOptions] = None,
     prefetch: bool = True,
     clip: bool = True,
-    sanitize: Optional[bool] = None,
+    run: Optional[RunConfig] = None,
 ):
     """One strategy -> executable kernel (clipped to the compute's
-    extents by default, as the sharded runners need)."""
+    extents by default, as the sharded runners need), sanitized and
+    fault-injected as ``run`` says."""
     from ..codegen.executor import CompiledKernel
 
     pipeline = CandidatePipeline(
-        compute, options=options, config=config, prefetch=prefetch
+        compute, options=options, config=config, prefetch=prefetch, run=run
     )
     candidate = pipeline.prepare(strategy, clip=clip)
     return CompiledKernel(
-        candidate.kernel, compute, pipeline.config, sanitize=sanitize
+        candidate.kernel, compute, pipeline.config,
+        sanitize=pipeline.run.sanitize, faults=pipeline.run.faults,
     )

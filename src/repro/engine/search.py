@@ -34,70 +34,44 @@ Resilience (see DESIGN.md "Failure model & recovery"):
   :class:`~repro.engine.evaluators.FailedEvaluation`; it is reported
   in the results (so callers can audit it) but never enters the
   incumbent heap, so it cannot distort the pruning threshold;
-* with a checkpoint path (explicit argument, or the process-wide
-  ``--checkpoint`` directory), the driver atomically saves its state
-  -- incumbent heap, evaluated-position cursor, scored outcomes, prune
+* with a checkpoint directory in the run's config (the CLI's
+  ``--checkpoint``), the search atomically saves its state --
+  incumbent heap, evaluated-position cursor, scored outcomes, prune
   counters -- at every batch boundary; ``resume`` restores an
   interrupted sweep and finishes it with a bit-identical final result
   (``tests/engine/test_checkpoint.py``).
 
-``set_default_prune`` is the process-wide knob behind the CLI's
-``--no-prune`` escape hatch, mirroring ``set_default_workers``.  With
-pruning off the search degrades to exactly the pre-bound behaviour:
-realize every candidate in enumeration order, score them in one batch.
+``RunConfig.prune`` (off with the CLI's ``--no-prune`` escape hatch)
+switches pruning; with it off the search degrades to exactly the
+pre-bound behaviour: realize every candidate in enumeration order,
+score them in one batch.
 """
 
 from __future__ import annotations
 
 import heapq
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..scheduler.enumerate import Candidate
 from .bounds import BOUND_SAFETY
-from .checkpoint import (
-    SearchCheckpoint,
-    default_checkpoint_policy,
-    search_digest,
-)
+from .checkpoint import SearchCheckpoint, checkpoint_path, search_digest
 from .evaluators import Evaluation, Evaluator, compute_signature
 from .parallel import evaluate_batch
 from .pipeline import CandidatePipeline
+from .runconfig import RunConfig
 
-__all__ = [
-    "PRUNE_BATCH",
-    "default_prune",
-    "resolve_prune",
-    "search_candidates",
-    "set_default_prune",
-]
+__all__ = ["PRUNE_BATCH", "search_candidates"]
 
 #: strategies realized + scored per branch-and-bound step.  A constant
 #: on purpose: deriving it from the worker count would make the set of
 #: evaluated candidates depend on the machine the search runs on.
 PRUNE_BATCH = 64
 
-_DEFAULT_PRUNE = True
-
-
-def set_default_prune(prune: bool) -> None:
-    """Set the process-wide pruning default (used by ``--no-prune``)."""
-    global _DEFAULT_PRUNE
-    _DEFAULT_PRUNE = bool(prune)
-
-
-def default_prune() -> bool:
-    return _DEFAULT_PRUNE
-
-
-def resolve_prune(prune: Optional[bool]) -> bool:
-    return _DEFAULT_PRUNE if prune is None else bool(prune)
-
 
 def _exhaustive(
     pipeline: CandidatePipeline,
     evaluator: Evaluator,
-    workers: Optional[int],
+    run: RunConfig,
     limit: Optional[int],
 ) -> List[Tuple[Candidate, Evaluation]]:
     """The prune-off path: realize everything, score in one batch."""
@@ -105,26 +79,9 @@ def _exhaustive(
     if not cands:
         return []
     evals = evaluate_batch(
-        cands, evaluator, workers=workers, metrics=pipeline.metrics
+        cands, evaluator, run=run, metrics=pipeline.metrics
     )
     return list(zip(cands, evals))
-
-
-def _resolve_checkpoint(
-    checkpoint: Union[None, str, Path],
-    resume: Optional[bool],
-    digest: str,
-) -> Tuple[Optional[Path], bool]:
-    """Explicit path beats the process-wide directory policy."""
-    if checkpoint is not None:
-        return Path(checkpoint), bool(resume)
-    policy = default_checkpoint_policy()
-    if policy is None:
-        return None, False
-    return (
-        policy.path_for(digest),
-        policy.resume if resume is None else bool(resume),
-    )
 
 
 def _restore(
@@ -162,12 +119,8 @@ def search_candidates(
     evaluator: Evaluator,
     *,
     top_k: int = 1,
-    workers: Optional[int] = None,
-    prune: Optional[bool] = None,
     batch_size: Optional[int] = None,
     limit: Optional[int] = None,
-    checkpoint: Union[None, str, Path] = None,
-    resume: Optional[bool] = None,
 ) -> List[Tuple[Candidate, Evaluation]]:
     """Score the legal candidates of ``pipeline``'s space.
 
@@ -181,15 +134,17 @@ def search_candidates(
     ``limit`` (first N legal candidates, a blackbox-tuner notion whose
     meaning depends on enumeration order) forces the exhaustive path.
 
-    ``checkpoint`` names a JSON sidecar updated atomically at every
-    batch boundary; with ``resume`` the driver restores a matching
-    checkpoint and continues instead of restarting (checkpointing
-    applies to the branch-and-bound path -- the exhaustive path is a
-    single batch with nothing to resume).
+    The pipeline's ``run`` supplies pruning, workers and checkpointing.
+    With ``run.checkpoint`` set, a JSON sidecar in that
+    directory is updated atomically at every batch boundary; with
+    ``run.resume`` the search restores a matching checkpoint and
+    continues instead of restarting (checkpointing applies to the
+    branch-and-bound path -- the exhaustive path is a single batch with
+    nothing to resume).
     """
-    do_prune = resolve_prune(prune)
-    if not do_prune or limit is not None:
-        return _exhaustive(pipeline, evaluator, workers, limit)
+    run = pipeline.run
+    if not run.prune or limit is not None:
+        return _exhaustive(pipeline, evaluator, run, limit)
 
     strategies = list(pipeline.strategies())
     bounds = [pipeline.bound_for(s) for s in strategies]
@@ -205,8 +160,12 @@ def search_candidates(
         keep,
         batch,
         evaluator,
+        (pipeline.options, pipeline.prefetch),
     )
-    ckpt_path, do_resume = _resolve_checkpoint(checkpoint, resume, digest)
+    ckpt_path = (
+        None if run.checkpoint is None
+        else checkpoint_path(run.checkpoint, digest)
+    )
 
     worst_k: List[float] = []  # max-heap (negated) of the k best scores
     threshold = float("inf")
@@ -217,7 +176,7 @@ def search_candidates(
     bp0, sp0, q0 = metrics.bound_pruned, metrics.spm_pruned, metrics.quarantined
     pb0 = len(metrics.prune_batches)
 
-    if ckpt_path is not None and do_resume:
+    if ckpt_path is not None and run.resume:
         state = SearchCheckpoint.load(ckpt_path, expect_space=digest)
         if state is not None:
             restored = _restore(state, pipeline, evaluator, strategies)
@@ -300,7 +259,7 @@ def search_candidates(
         evals = evaluate_batch(
             [c for _, c in realized],
             evaluator,
-            workers=workers,
+            run=run,
             metrics=metrics,
         )
         for (idx, candidate), evaluation in zip(realized, evals):

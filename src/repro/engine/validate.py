@@ -46,7 +46,6 @@ import numpy as np
 from ..dsl.compute import ComputeDef, ROLE_OUTPUT, ShiftedDim
 from ..errors import SanitizerError, ValidationError
 from ..machine.config import MachineConfig
-from ..machine.sanitizer import sanitize_default
 from .evaluators import (
     Evaluation,
     Evaluator,
@@ -54,44 +53,11 @@ from .evaluators import (
     strategy_key,
     synthetic_feeds,
 )
+from .runconfig import VALIDATE_MODES
 
 #: bump when validation semantics change: stale digests force
 #: revalidation of every cached entry recorded under the old scheme.
 VALIDATION_SALT = "swatop-validate-1"
-
-VALIDATE_MODES = ("off", "winner", "all")
-
-#: process-wide default installed by ``set_default_validate`` (CLI
-#: ``--validate``); ``None`` defers to the environment.
-_DEFAULT_MODE: Optional[str] = None
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in VALIDATE_MODES:
-        raise ValueError(
-            f"validate mode must be one of {VALIDATE_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def set_default_validate(mode: Optional[str]) -> None:
-    """Install the process-wide validation mode (``None`` resets)."""
-    global _DEFAULT_MODE
-    _DEFAULT_MODE = None if mode is None else _check_mode(mode)
-
-
-def default_validate() -> str:
-    """The effective process-wide default mode.  ``REPRO_SANITIZE=1``
-    forces ``all`` so the CI sanitize job exercises validation on every
-    measured candidate."""
-    if _DEFAULT_MODE is not None:
-        return _DEFAULT_MODE
-    return "all" if sanitize_default() else "off"
-
-
-def resolve_validate(mode: Optional[str]) -> str:
-    """Resolve a per-call ``validate`` argument against the default."""
-    return default_validate() if mode is None else _check_mode(mode)
 
 
 # --- the NumPy reference ---------------------------------------------------
@@ -282,18 +248,22 @@ def validate_candidate(
     *,
     feeds: Optional[Dict[str, np.ndarray]] = None,
     seed: int = 0,
-    sanitize: Optional[bool] = None,
+    sanitize: bool = False,
+    faults=None,
 ) -> ValidationReport:
     """Differentially validate one prepared (optimized) candidate.
 
     Raises :class:`ValidationError` on a numeric mismatch and lets any
     :class:`~repro.errors.SanitizerError` from a sanitized run
-    propagate -- both mean the kernel must not be trusted.
+    propagate -- both mean the kernel must not be trusted.  ``faults``
+    is the run's :class:`~repro.faults.FaultPlan` (its poison may
+    corrupt this kernel's outputs).
     """
     from ..codegen.executor import CompiledKernel
 
     ck = CompiledKernel(
-        candidate.kernel, candidate.compute, config, sanitize=sanitize
+        candidate.kernel, candidate.compute, config,
+        sanitize=sanitize, faults=faults,
     )
     return validate_kernel(ck, feeds=feeds, seed=seed)
 
@@ -318,7 +288,9 @@ class ValidatingEvaluator(Evaluator):
     :class:`FailedEvaluation` with site ``"validation"`` rather than
     raised: supervision would otherwise burn retries on a
     deterministic failure, and the memo layer already skips failed
-    results, so a wrong kernel is simply never a winner.
+    results, so a wrong kernel is simply never a winner.  Validation
+    runs sanitize exactly when the inner evaluator does; ``faults`` is
+    the run's fault plan.
     """
 
     def __init__(
@@ -326,18 +298,24 @@ class ValidatingEvaluator(Evaluator):
         inner: Evaluator,
         config: Optional[MachineConfig] = None,
         seed: int = 0,
+        *,
+        faults=None,
     ) -> None:
         self.inner = inner
         self.config = config if config is not None else getattr(
             inner, "config", None
         )
         self.seed = seed
+        self.sanitize = getattr(inner, "sanitize", False)
+        self.faults = faults
         self.kind = f"{inner.kind}+validate"
         self.validations = 0
         self.failures = 0
 
     def params_key(self):
-        return (self.inner.params_key(), "validate", self.seed)
+        # the poison decides which outputs fail, so it splits the memo
+        poison = None if self.faults is None else self.faults.poison
+        return (self.inner.params_key(), "validate", self.seed, poison)
 
     def evaluate(self, candidate) -> Evaluation:
         result = self.inner.evaluate(candidate)
@@ -346,7 +324,8 @@ class ValidatingEvaluator(Evaluator):
         try:
             self.validations += 1
             validate_candidate(
-                candidate, self.config, seed=self.seed
+                candidate, self.config, seed=self.seed,
+                sanitize=self.sanitize, faults=self.faults,
             )
         except (ValidationError, SanitizerError) as exc:
             self.failures += 1
@@ -365,10 +344,7 @@ __all__ = [
     "ValidatingEvaluator",
     "ValidationReport",
     "compare_tensors",
-    "default_validate",
     "reference_outputs",
-    "resolve_validate",
-    "set_default_validate",
     "tolerance_for",
     "validate_candidate",
     "validate_kernel",

@@ -24,11 +24,6 @@ class MainMemoryError(MachineError):
     """Main-memory allocation or out-of-bounds access failure."""
 
 
-#: deprecated alias -- the old name shadowed the builtin with a
-#: trailing-underscore hack; new code should catch MainMemoryError.
-MemoryError_ = MainMemoryError
-
-
 class DmaError(MachineError):
     """Malformed DMA descriptor (bad stride/block/bounds/reply word)."""
 
@@ -168,6 +163,13 @@ class ValidationError(ReproError):
 
 class TuningError(ReproError):
     """Autotuner failure (e.g. empty schedule space after pruning)."""
+
+
+class NoValidCandidateError(TuningError, ValidationError):
+    """Tuning rejected every candidate for a wrong output or a
+    sanitizer violation.  Also a :class:`ValidationError`, so the
+    runtime library serves such an operator by its reference fallback
+    instead of failing the call."""
 
 
 class CalibrationError(ReproError):

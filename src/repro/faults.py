@@ -38,9 +38,11 @@ construction: a retry re-draws at the next attempt number, so at rate
 digest starts with the prefix always raises, on every attempt -- the
 supervised engine must bisect it out of its chunk and quarantine it.
 
-Everything is a no-op until :func:`set_fault_plan` installs a plan
-(the CLI's ``--inject-faults SPEC`` does this); production code pays
-one ``None`` check.
+Everything is a no-op until a run carries a plan (``RunConfig.faults``;
+the CLI's ``--inject-faults SPEC`` builds one); production code pays
+one ``None`` check.  The plan reaches worker processes inside the
+:class:`FaultyEvaluator` they are sent, the eval store through its
+``flush``, and kernels through ``CompiledKernel(faults=...)``.
 """
 
 from __future__ import annotations
@@ -58,13 +60,10 @@ __all__ = [
     "InjectedEvaluatorError",
     "InjectedFault",
     "InjectedHang",
-    "active_fault_plan",
     "candidate_digest",
     "compute_digest",
     "current_attempt",
-    "maybe_corrupt_outputs",
     "set_current_attempt",
-    "set_fault_plan",
 ]
 
 #: the injectable fault sites, in spec order.
@@ -142,6 +141,24 @@ class FaultPlan:
 
     def is_poison(self, digest: str) -> bool:
         return bool(self.poison) and digest.startswith(self.poison)
+
+    def corrupt_outputs(self, compute, outputs) -> bool:
+        """Silently perturb a kernel's outputs when this plan poisons
+        the operator's :func:`compute_digest`.
+
+        Called by the executor after every functional run of a kernel
+        built with this plan; the perturbation is deterministic and
+        large relative to any dtype tolerance, so differential
+        validation *must* catch it.  Returns ``True`` when a corruption
+        was applied.
+        """
+        if not self.poison or not self.is_poison(compute_digest(compute)):
+            return False
+        for arr in outputs.values():
+            flat = arr.reshape(-1)
+            if flat.size:
+                flat[0] += max(1.0, abs(float(flat[0])))
+        return True
 
     # --- spec round-trip -----------------------------------------------
     @classmethod
@@ -223,27 +240,6 @@ def compute_digest(compute) -> str:
     ).hexdigest()
 
 
-def maybe_corrupt_outputs(compute, outputs) -> bool:
-    """Silently perturb a kernel's outputs when the active plan poisons
-    this operator's :func:`compute_digest`.
-
-    Called by the executor after every functional run; the perturbation
-    is deterministic and large relative to any dtype tolerance, so
-    differential validation *must* catch it.  Returns ``True`` when a
-    corruption was applied.  One ``None`` check when no plan is active.
-    """
-    plan = _ACTIVE_PLAN
-    if plan is None or not plan.poison:
-        return False
-    if not plan.is_poison(compute_digest(compute)):
-        return False
-    for arr in outputs.values():
-        flat = arr.reshape(-1)
-        if flat.size:
-            flat[0] += max(1.0, abs(float(flat[0])))
-    return True
-
-
 #: attempt number of the evaluation currently running in *this*
 #: process.  The supervisor (parent: per-candidate retry loop; worker:
 #: chunk runner) sets it before dispatching, so fault draws can be
@@ -260,33 +256,12 @@ def current_attempt() -> int:
     return _CURRENT_ATTEMPT
 
 
-#: the process-wide plan (None = fault injection disabled).
-_ACTIVE_PLAN: Optional[FaultPlan] = None
-
-
-def set_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install (or clear, with ``None``) the process-wide fault plan.
-
-    The CLI's ``--inject-faults SPEC`` routes here; a no-op plan is
-    normalized to ``None``.
-    """
-    global _ACTIVE_PLAN
-    if plan is not None and plan.is_noop():
-        plan = None
-    _ACTIVE_PLAN = plan
-    return _ACTIVE_PLAN
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    return _ACTIVE_PLAN
-
-
 class FaultyEvaluator:
     """Evaluator wrapper that consults a :class:`FaultPlan` before
     delegating to the real evaluator.
 
-    Built by ``evaluate_batch`` when a plan is active; ships to worker
-    processes like any evaluator (the plan is a small frozen
+    Built by ``evaluate_batch`` when the run carries a plan; ships to
+    worker processes like any evaluator (the plan is a small frozen
     dataclass).  Fault decisions are keyed by the candidate's digest
     and the current attempt number, so they are identical in serial and
     parallel runs of the same plan.

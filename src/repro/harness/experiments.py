@@ -4,6 +4,9 @@ Each driver runs the comparison its figure reports, on a configurable
 :class:`~repro.harness.scales.Scale`, and returns a structured result
 whose ``table()`` prints measured values beside the paper's expected
 ones.  The benchmarks in ``benchmarks/`` are thin wrappers over these.
+Every experiment takes an optional ``run`` (default
+:meth:`RunConfig.from_env`), resolved once and passed to every tuner
+and runner it calls.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..autotuner import tune_blackbox, tune_with_model
+from ..engine import RunConfig
 from ..engine.metrics import EngineMetrics
 from ..errors import WorkloadError
 from ..machine.config import MachineConfig, default_config
@@ -111,7 +115,9 @@ def _network_comparison(
     networks: Tuple[str, ...],
     scale: Scale,
     config: Optional[MachineConfig],
+    run: Optional[RunConfig],
 ) -> ConvComparisonResult:
+    run = run or RunConfig.from_env()
     runner = CONV_RUNNERS[method]
     baseline = BASELINE_OF[method]
     rows: List[ConvComparisonRow] = []
@@ -128,14 +134,14 @@ def _network_comparison(
                     continue
                 x, w = _feeds(params)
                 rs = runner(
-                    params, x, w, library="swatop",
-                    quick=scale.quick, collect_output=False, config=config,
+                    params, x, w, library="swatop", quick=scale.quick,
+                    collect_output=False, config=config, run=run,
                 )
                 base_cycles: Optional[float] = None
                 try:
                     rb = runner(
                         params, x, w, library=baseline,
-                        collect_output=False, config=config,
+                        collect_output=False, config=config, run=run,
                     )
                     base_cycles = rb.cycles
                 except WorkloadError:
@@ -165,27 +171,36 @@ def fig5_implicit_conv(
     scale: Optional[Scale] = None,
     networks: Tuple[str, ...] = ("vgg16", "resnet", "yolo"),
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> ConvComparisonResult:
     """Fig. 5: implicit conv on the three CNNs, swATOP vs swDNN."""
-    return _network_comparison("implicit", networks, scale or get_scale(), config)
+    return _network_comparison(
+        "implicit", networks, scale or get_scale(), config, run
+    )
 
 
 def fig6_winograd_conv(
     scale: Optional[Scale] = None,
     networks: Tuple[str, ...] = ("vgg16", "resnet", "yolo"),
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> ConvComparisonResult:
     """Fig. 6: Winograd conv vs the xMath-based manual pipeline."""
-    return _network_comparison("winograd", networks, scale or get_scale(), config)
+    return _network_comparison(
+        "winograd", networks, scale or get_scale(), config, run
+    )
 
 
 def fig7_explicit_conv(
     scale: Optional[Scale] = None,
     networks: Tuple[str, ...] = ("vgg16", "resnet", "yolo"),
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> ConvComparisonResult:
     """Fig. 7: explicit conv vs naive im2col + xMath."""
-    return _network_comparison("explicit", networks, scale or get_scale(), config)
+    return _network_comparison(
+        "explicit", networks, scale or get_scale(), config, run
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +277,11 @@ def tab1_fig8_versatility(
     scale: Optional[Scale] = None,
     methods: Tuple[str, ...] = ("implicit", "winograd", "explicit"),
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> VersatilityResult:
     """Tab. 1 + Fig. 8: the 225-configuration sweep of Listing 1."""
     scale = scale or get_scale()
+    run = run or RunConfig.from_env()
     rows: List[VersatilityRow] = []
     for batch in scale.batches:
         configs = listing1_configs(batch, scale=scale.spatial_scale)
@@ -279,14 +296,14 @@ def tab1_fig8_versatility(
                 if method == "implicit" and not conv_implicit.applicable(params):
                     continue
                 rs = runner(
-                    params, x, w, library="swatop",
-                    quick=scale.quick, collect_output=False, config=config,
+                    params, x, w, library="swatop", quick=scale.quick,
+                    collect_output=False, config=config, run=run,
                 )
                 base: Optional[float] = None
                 try:
                     rb = runner(
                         params, x, w, library=BASELINE_OF[method],
-                        collect_output=False, config=config,
+                        collect_output=False, config=config, run=run,
                     )
                     base = rb.cycles
                 except WorkloadError:
@@ -350,9 +367,11 @@ class GemmSweepResult:
 def tab2_gemm(
     scale: Optional[Scale] = None,
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> GemmSweepResult:
     """Tab. 2: swATOP vs xMath over the Listing-2 shapes."""
     scale = scale or get_scale()
+    run = run or RunConfig.from_env()
     shapes = listing2_shapes(scale=scale.gemm_scale)
     if scale.max_configs is not None:
         aligned = subsample([s for s in shapes if s.aligned], scale.max_configs)
@@ -367,8 +386,10 @@ def tab2_gemm(
             continue
         a = rng.standard_normal((shape.m, shape.k)).astype(np.float32)
         b = rng.standard_normal((shape.k, shape.n)).astype(np.float32)
-        rs = run_gemm(a, b, library="swatop", quick=scale.quick, config=config)
-        rx = run_gemm(a, b, library="xmath", config=config)
+        rs = run_gemm(
+            a, b, library="swatop", quick=scale.quick, config=config, run=run
+        )
+        rx = run_gemm(a, b, library="xmath", config=config, run=run)
         rows.append(
             GemmRow(
                 m=shape.m, n=shape.n, k=shape.k, aligned=shape.aligned,
@@ -445,9 +466,11 @@ def tab3_tuning_time(
     networks: Tuple[str, ...] = ("vgg16", "resnet", "yolo"),
     batch: int = 32,
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> TuningTimeResult:
     """Tab. 3: wall-clock tuning cost of both autotuners."""
     scale = scale or get_scale()
+    run = run or RunConfig.from_env()
     rows: List[TuningTimeRow] = []
     for net in networks:
         layers = conv_layers(net, method="implicit")
@@ -460,9 +483,12 @@ def tab3_tuning_time(
             compute = conv_implicit.make_compute(params)
             space = conv_implicit.make_space(params, quick=scale.quick)
             bb = tune_blackbox(
-                compute, space, config=config, limit=scale.blackbox_limit
+                compute, space, config=config, limit=scale.blackbox_limit,
+                run=run,
             )
-            mm = tune_with_model(compute, space, config=config, run_best=True)
+            mm = tune_with_model(
+                compute, space, config=config, run_best=True, run=run
+            )
             # scale the measured black-box time to the full space when a
             # candidate cap was applied (real brute force runs them all)
             bb_seconds = bb.wall_seconds
@@ -532,9 +558,11 @@ def fig9_model_accuracy(
     scale: Optional[Scale] = None,
     batch: int = 32,
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> ModelAccuracyResult:
     """Fig. 9: the model-based pick vs exhaustive search, implicit conv."""
     scale = scale or get_scale()
+    run = run or RunConfig.from_env()
     configs = listing1_configs(batch, scale=scale.spatial_scale)
     if scale.max_configs is not None:
         configs = subsample(configs, scale.max_configs)
@@ -547,8 +575,10 @@ def fig9_model_accuracy(
         compute = conv_implicit.make_compute(params)
         space = conv_implicit.make_space(params, quick=scale.quick)
         # top_k=3: the paper's "pick best (or top k)" refinement
-        mm = tune_with_model(compute, space, config=config, run_best=True, top_k=3)
-        bb = tune_blackbox(compute, space, config=config)
+        mm = tune_with_model(
+            compute, space, config=config, run_best=True, top_k=3, run=run
+        )
+        bb = tune_blackbox(compute, space, config=config, run=run)
         rows.append(
             ModelAccuracyRow(
                 params=params,
@@ -603,9 +633,11 @@ def fig10_prefetch(
     batch: int = 32,
     count: int = 8,
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> PrefetchResult:
     """Fig. 10: the latency-hiding pass on/off, same schedules."""
     scale = scale or get_scale()
+    run = run or RunConfig.from_env()
     configs = [
         p for p in listing1_configs(batch, scale=scale.spatial_scale)
         if conv_implicit.applicable(p) and p.flops <= scale.max_flops / 4
@@ -622,10 +654,10 @@ def fig10_prefetch(
         # framework), the other with the automatic latency-hiding pass
         base = tune_with_model(
             compute, space, config=config, options=no_pf, prefetch=False,
-            run_best=True,
+            run_best=True, run=run,
         )
         with_pf = tune_with_model(
-            compute, space, config=config, run_best=True,
+            compute, space, config=config, run_best=True, run=run,
         )
         rows.append(
             PrefetchRow(
@@ -689,6 +721,7 @@ def fig11_padding(
     scale: Optional[Scale] = None,
     count: int = 8,
     config: Optional[MachineConfig] = None,
+    run: Optional[RunConfig] = None,
 ) -> PaddingResult:
     """Fig. 11: unaligned GEMMs, in-kernel boundary handling vs
     traditional whole-tensor padding."""
@@ -697,6 +730,7 @@ def fig11_padding(
     from ..autotuner.model_tuner import synthetic_feeds
 
     scale = scale or get_scale()
+    run = run or RunConfig.from_env()
     cfg = config or default_config()
     shapes = [
         s for s in listing2_shapes(scale=scale.gemm_scale)
@@ -713,11 +747,15 @@ def fig11_padding(
         mp, np_, kp = pad_up(m, 128), pad_up(n, 128), pad_up(k, 128)
         padded_compute = gemm_compute(mp, np_, kp)
         padded_space = gemm_space(padded_compute, quick=scale.quick)
-        tuned = tune_with_model(padded_compute, padded_space, config=cfg, run_best=True)
+        tuned = tune_with_model(
+            padded_compute, padded_space, config=cfg, run_best=True, run=run
+        )
         strategy = tuned.best.candidate.strategy
         aligned_cycles = tuned.report.cycles
 
-        light_ck = compile_strategy(gemm_compute(m, n, k), strategy, cfg)
+        light_ck = compile_strategy(
+            gemm_compute(m, n, k), strategy, cfg, run=run
+        )
         light_cycles = light_ck.run(
             synthetic_feeds(gemm_compute(m, n, k))
         ).report.cycles

@@ -13,6 +13,10 @@ This is the layer the experiments drive.  Responsibilities:
 * dispatching to the manual baselines (swDNN / xMath) through the same
   interfaces so comparisons share every piece of machinery except the
   schedule choice.
+
+Every runner takes an optional ``run`` (default
+:meth:`~repro.engine.runconfig.RunConfig.from_env`), resolved once per
+call and handed to the tuner and to every kernel it compiles.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from ..dsl.compute import ComputeDef
 from ..dsl.schedule import ScheduleStrategy
 # candidate preparation/compilation is owned by the engine; the names
 # stay importable from here for existing callers
-from ..engine import clip_strategy, compile_strategy
+from ..engine import RunConfig, clip_strategy, compile_strategy
 from ..errors import TuningError, WorkloadError
 from ..machine.config import MachineConfig, default_config
 from ..machine.spm import partition_extent
@@ -80,16 +84,19 @@ def _tune(
     tuner: str,
     config: MachineConfig,
     blackbox_limit: Optional[int],
+    run: RunConfig,
 ) -> TuningResult:
     if tuner == "model":
         # measure the top-2 predictions and keep the faster one -- the
         # paper's "pick best (or top k)" refinement; two extra simulated
         # runs per operator buy back most residual model error
         return tune_with_model(
-            compute, space, config=config, run_best=True, top_k=2
+            compute, space, config=config, run_best=True, top_k=2, run=run
         )
     if tuner == "blackbox":
-        return tune_blackbox(compute, space, config=config, limit=blackbox_limit)
+        return tune_blackbox(
+            compute, space, config=config, limit=blackbox_limit, run=run
+        )
     raise TuningError(f"unknown tuner {tuner!r}")
 
 
@@ -175,14 +182,16 @@ def run_gemm(
     quick: bool = True,
     config: Optional[MachineConfig] = None,
     blackbox_limit: Optional[int] = None,
+    run: Optional[RunConfig] = None,
 ) -> OperatorRun:
     """``C = A @ B`` on one core group (GEMM routines, like xMath's, are
     per-CG; multi-CG GEMM is a caller-level shard over M)."""
     cfg = config or default_config()
+    run = run or RunConfig.from_env()
     a = np.asarray(a, np.float32)
     b = np.asarray(b, np.float32)
     if library == "xmath":
-        res = xmath.xmath_gemm(a, b, config=cfg)
+        res = xmath.xmath_gemm(a, b, config=cfg, sanitize=run.sanitize)
         return OperatorRun(report=res.report, output=res.output)
     if library != "swatop":
         raise WorkloadError(f"unknown GEMM library {library!r}")
@@ -190,8 +199,11 @@ def run_gemm(
     n = b.shape[1]
     compute = gemm_compute(m, n, k)
     space = gemm_space(compute, quick=quick)
-    tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
-    ck = CompiledKernel(tuning.best.candidate.kernel, compute, cfg)
+    tuning = _tune(compute, space, tuner, cfg, blackbox_limit, run)
+    ck = CompiledKernel(
+        tuning.best.candidate.kernel, compute, cfg,
+        sanitize=run.sanitize, faults=run.faults,
+    )
     res = ck.run({"A": a, "B": b})
     return OperatorRun(report=res.report, output=res.outputs["C"], tuning=tuning)
 
@@ -211,8 +223,10 @@ def run_conv_implicit(
     collect_output: bool = True,
     blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
+    run: Optional[RunConfig] = None,
 ) -> OperatorRun:
     cfg = config or default_config()
+    run = run or RunConfig.from_env()
     xp = pad_input(np.asarray(x, np.float32), params)
     w = np.asarray(w, np.float32)
     shards = shard_conv(params, cfg)
@@ -223,7 +237,7 @@ def run_conv_implicit(
             lead = max(shards, key=lambda s: s.params.flops)
             compute = conv_implicit.make_compute(lead.params)
             space = conv_implicit.make_space(lead.params, quick=quick)
-            tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+            tuning = _tune(compute, space, tuner, cfg, blackbox_limit, run)
             strategy = tuning.best.candidate.strategy
     elif library == "swdnn":
         if not swdnn.supported(params):
@@ -242,7 +256,7 @@ def run_conv_implicit(
         key = shard.params.describe()
         if key not in cache:
             compute = conv_implicit.make_compute(shard.params)
-            cache[key] = compile_strategy(compute, strategy, cfg)
+            cache[key] = compile_strategy(compute, strategy, cfg, run=run)
         ck = cache[key]
         res = ck.run({"input": _shard_input(xp, shard, params), "weight": w})
         reports.append(res.report)
@@ -269,8 +283,10 @@ def run_conv_explicit(
     collect_output: bool = True,
     blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
+    run: Optional[RunConfig] = None,
 ) -> OperatorRun:
     cfg = config or default_config()
+    run = run or RunConfig.from_env()
     xp = pad_input(np.asarray(x, np.float32), params)
     w_mat_full = conv_explicit.weight_matrix(np.asarray(w, np.float32), params)
     shards = shard_conv(params, cfg)
@@ -281,7 +297,7 @@ def run_conv_explicit(
             lead = max(shards, key=lambda s: s.params.flops)
             compute = conv_explicit.make_compute(lead.params)
             space = conv_explicit.make_space(lead.params, quick=quick)
-            tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+            tuning = _tune(compute, space, tuner, cfg, blackbox_limit, run)
             strategy = tuning.best.candidate.strategy
     elif library != "manual":
         raise WorkloadError(f"unknown explicit-conv library {library!r}")
@@ -296,7 +312,7 @@ def run_conv_explicit(
             col = conv_explicit.im2col(xs, sp, "kn")  # logical (K, N) feed
             expand = conv_explicit.expand_report(sp, layout, cfg)
             compute = conv_explicit.make_compute(sp)
-            ck = compile_strategy(compute, strategy, cfg)
+            ck = compile_strategy(compute, strategy, cfg, run=run)
             res = ck.run({"A": w_mat_full, "B": col})
             stage = conv_explicit.ExplicitStages(expand, res.report)
             reports.append(stage.total)
@@ -304,7 +320,9 @@ def run_conv_explicit(
         else:
             col = conv_explicit.im2col(xs, sp, "kn")
             expand = conv_explicit.expand_report(sp, "kn", cfg)
-            g = xmath.xmath_gemm(w_mat_full, col, config=cfg)
+            g = xmath.xmath_gemm(
+                w_mat_full, col, config=cfg, sanitize=run.sanitize
+            )
             reports.append(
                 SimReport.merge_serial([expand, g.report], detail="explicit[manual]")
             )
@@ -334,6 +352,7 @@ def run_conv_winograd(
     blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
     variant: str = "f22",
+    run: Optional[RunConfig] = None,
 ) -> OperatorRun:
     """Winograd convolution.
 
@@ -343,6 +362,7 @@ def run_conv_winograd(
     faster, the per-shape primitive selection swATOP advertises.
     """
     cfg = config or default_config()
+    run = run or RunConfig.from_env()
     if not conv_winograd.applicable(params):
         raise WorkloadError(f"winograd not applicable to {params.describe()}")
     if variant == "auto":
@@ -352,7 +372,7 @@ def run_conv_winograd(
             run_conv_winograd(
                 params, x, w, library=library, tuner=tuner, quick=quick,
                 config=cfg, collect_output=collect_output,
-                blackbox_limit=blackbox_limit, variant=name,
+                blackbox_limit=blackbox_limit, variant=name, run=run,
             )
             for name in ("f22", "f44")
         ]
@@ -373,7 +393,7 @@ def run_conv_winograd(
             lead = max(shards, key=lambda s: s.params.flops)
             compute = conv_winograd.make_compute(lead.params, wv)
             space = conv_winograd.make_space(lead.params, quick=quick, variant=wv)
-            tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+            tuning = _tune(compute, space, tuner, cfg, blackbox_limit, run)
             strategy = tuning.best.candidate.strategy
     elif library != "manual":
         raise WorkloadError(f"unknown winograd library {library!r}")
@@ -394,7 +414,7 @@ def run_conv_winograd(
         ]
         if library == "swatop":
             compute = conv_winograd.make_compute(sp, wv)
-            ck = compile_strategy(compute, strategy, cfg)
+            ck = compile_strategy(compute, strategy, cfg, run=run)
             res = ck.run({"U": u_mat, "V": v_mat})
             stage_reports.append(res.report)
             m_mat = res.outputs["M"]
@@ -404,7 +424,9 @@ def run_conv_winograd(
                 (wv.num_gemms, params.no, p), np.float32
             )
             for t in range(wv.num_gemms):
-                g = xmath.xmath_gemm(u_mat[t], v_mat[t], config=cfg)
+                g = xmath.xmath_gemm(
+                    u_mat[t], v_mat[t], config=cfg, sanitize=run.sanitize
+                )
                 gem_reports.append(g.report)
                 m_mat[t] = g.output
             stage_reports.append(
@@ -450,6 +472,7 @@ def run_conv_strided(
     config: Optional[MachineConfig] = None,
     blackbox_limit: Optional[int] = None,
     strategies: Optional[Sequence[ScheduleStrategy]] = None,
+    run: Optional[RunConfig] = None,
 ) -> OperatorRun:
     """Strided convolution: phase-decompose into unit-stride convs
     (see :mod:`repro.ops.strided`), run each through the tuned
@@ -463,6 +486,7 @@ def run_conv_strided(
     from ..ops import strided
 
     cfg = config or default_config()
+    run = run or RunConfig.from_env()
     if params.stride == 1:
         raise WorkloadError("run_conv_strided needs stride > 1")
     if method not in ("implicit", "explicit"):
@@ -481,21 +505,21 @@ def run_conv_strided(
         xs = strided.phase_input(x, params, phase)
         ws = strided.phase_weight(w, params, phase)
         injected = strategies[i] if strategies is not None else None
-        run = runner(
+        res = runner(
             phase.params, xs, ws, library=library, tuner=tuner,
             quick=quick, config=cfg, collect_output=True,
-            blackbox_limit=blackbox_limit, strategy=injected,
+            blackbox_limit=blackbox_limit, strategy=injected, run=run,
         )
-        out += run.output
-        reports.append(run.report)
+        out += res.output
+        reports.append(res.report)
         if injected is not None:
             used.append(injected)
-        elif run.tuning is not None:
-            used.append(run.tuning.best.candidate.strategy)
+        elif res.tuning is not None:
+            used.append(res.tuning.best.candidate.strategy)
         else:
             used.append(None)
         if tuning is None:
-            tuning = run.tuning
+            tuning = res.tuning
     return OperatorRun(
         report=SimReport.merge_serial(reports, detail=f"conv_strided[{method}]"),
         output=out,

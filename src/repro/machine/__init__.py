@@ -21,13 +21,7 @@ from .dma import (
 from .memory import Buffer, MainMemory, transaction_bytes
 from .pipeline import Instr, ScheduleResult, schedule, steady_state_cycles
 from .regcomm import CommPattern, RegCommMesh, gemm_broadcast_plan
-from .sanitizer import (
-    MachineSanitizer,
-    RegCommChecker,
-    resolve_sanitize,
-    sanitize_default,
-    set_sanitize,
-)
+from .sanitizer import MachineSanitizer, RegCommChecker
 from .spm import SpmAllocator, SpmBuffer, SpmPlan, partition_extent, tile_bytes_per_cpe
 from .trace import SimReport, Trace, TraceEvent
 from .trace_export import render_timeline, to_chrome_trace
@@ -52,9 +46,6 @@ __all__ = [
     "RegCommMesh",
     "MachineSanitizer",
     "RegCommChecker",
-    "set_sanitize",
-    "sanitize_default",
-    "resolve_sanitize",
     "gemm_broadcast_plan",
     "DmaDescriptor",
     "DmaEngine",

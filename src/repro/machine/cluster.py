@@ -25,24 +25,27 @@ from .cpe import Cpe
 from .dma import MEM_TO_SPM, SPM_TO_MEM, DmaDescriptor, DmaEngine
 from .memory import MainMemory
 from .regcomm import RegCommMesh
-from .sanitizer import RegCommChecker, sanitize_default
+from .sanitizer import RegCommChecker
 from .spm import partition_extent
 from .trace import Trace
 
 
 class CpeCluster:
-    """8x8 CPEs + register mesh + DMA engine of one core group."""
+    """8x8 CPEs + register mesh + DMA engine of one core group
+    (``sanitize`` attaches the register-communication checker)."""
 
     def __init__(
         self,
         memory: Optional[MainMemory] = None,
         config: Optional[MachineConfig] = None,
+        *,
+        sanitize: bool = False,
     ) -> None:
         self.config = config or default_config()
         self.memory = memory or MainMemory(config=self.config)
         self.dma = DmaEngine(self.memory, self.config)
         self.mesh = RegCommMesh(self.config)
-        if sanitize_default():
+        if sanitize:
             self.mesh.attach_checker(RegCommChecker())
         self.cpes: List[Cpe] = [
             Cpe(r, c, self.config)

@@ -31,7 +31,7 @@ from .lowering import (
     PlanSpmPass,
     lowering_passes,
 )
-from .manager import PassManager, set_dump_ir
+from .manager import IRDump, PassManager
 from .optimize import (
     AnalyzeBoundaryPass,
     HoistDmaPass,
@@ -47,7 +47,7 @@ __all__ = [
     "PassContext",
     "PassRun",
     "PassManager",
-    "set_dump_ir",
+    "IRDump",
     "SPM_PLANNED",
     "DMA_GEOMETRY",
     "ALL_INVARIANTS",

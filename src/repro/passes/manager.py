@@ -17,9 +17,9 @@ Failure semantics:
   just ran, so a malformed rewrite is caught at its source instead of
   corrupting downstream cost models or the executor.
 
-``--dump-ir`` support lives here too: :func:`set_dump_ir` arms a
-module-level dump configuration; the manager renders before/after
-snapshots of matching passes through :func:`repro.ir.printer.pretty`.
+``--dump-ir`` support lives here too: a manager given an
+:class:`IRDump` (a run's ``dump_ir``) renders before/after snapshots of
+matching passes through :func:`repro.ir.printer.pretty`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,15 @@ from .base import Pass, PassContext, PassRun
 from .verifier import check_kernel
 
 
-class _DumpConfig:
-    """Module-level ``--dump-ir`` state (armed once per CLI run)."""
+class IRDump:
+    """What ``--dump-ir`` prints, shared by every manager of one run.
+
+    ``spec`` is ``"all"`` or a single pass name; ``limit`` caps how many
+    manager *runs* get dumped (an autotuning sweep lowers thousands of
+    candidates -- dumping the first couple shows the pipeline without
+    drowning the terminal).  ``stream`` defaults to stderr so dumps
+    never pollute result tables on stdout.
+    """
 
     def __init__(
         self,
@@ -58,35 +65,13 @@ class _DumpConfig:
         return self.stream if self.stream is not None else sys.stderr
 
 
-_dump: Optional[_DumpConfig] = None
-
-
-def set_dump_ir(
-    spec: Optional[str],
-    *,
-    limit: int = 2,
-    stream: Optional[IO[str]] = None,
-) -> None:
-    """Arm (or with ``None`` disarm) IR dumping for subsequent manager
-    runs.
-
-    ``spec`` is ``"all"`` or a single pass name; ``limit`` caps how many
-    manager *runs* get dumped (an autotuning sweep lowers thousands of
-    candidates -- dumping the first couple shows the pipeline without
-    drowning the terminal).  ``stream`` defaults to stderr so dumps
-    never pollute result tables on stdout.
-    """
-    global _dump
-    _dump = None if spec is None else _DumpConfig(spec, limit=limit, stream=stream)
-
-
 class PassManager:
     """Run an ordered list of passes over one kernel.
 
     ``stage`` names the :class:`~repro.engine.metrics.EngineMetrics`
     stage ("lowering" or "optimization") charged with the run's total
     wall time; per-pass timings always land in ``metrics.passes`` and in
-    :attr:`last_trace`.
+    :attr:`last_trace`.  ``dump`` prints IR around matching passes.
     """
 
     def __init__(
@@ -96,11 +81,13 @@ class PassManager:
         verify: bool = True,
         metrics=None,
         stage: Optional[str] = None,
+        dump: Optional[IRDump] = None,
     ) -> None:
         self.passes = list(passes)
         self.verify = verify
         self.metrics = metrics
         self.stage = stage
+        self.dump = dump
         self.last_trace: List[PassRun] = []
 
     @property
@@ -111,7 +98,7 @@ class PassManager:
         self, ctx: PassContext, kernel: Optional[KernelNode] = None
     ) -> KernelNode:
         self.last_trace = []
-        dump = _dump
+        dump = self.dump
         # a run only spends dump budget if it contains a matching pass
         # (--dump-ir=prefetch must not be eaten by lowering-only runs)
         dumping = (
@@ -148,7 +135,7 @@ class PassManager:
         ctx: PassContext,
         kernel: Optional[KernelNode],
         before: int,
-        dump: Optional[_DumpConfig],
+        dump: Optional[IRDump],
     ) -> Tuple[Optional[KernelNode], int]:
         if dump is not None and dump.matches(p.name) and kernel is not None:
             print(

@@ -14,10 +14,17 @@ is revalidated against the NumPy reference before its output is
 believed; a kernel that fails the check -- or trips the machine
 sanitizer -- is quarantined from the cache and the call gracefully
 falls back to the reference implementation, timed as unported MPE-side
-execution.  The caller always gets a correct result; the fallback is
+execution.  A cache miss whose tuning rejects every candidate the
+same way (:class:`~repro.errors.NoValidCandidateError`, a
+``ValidationError``) falls back too.  The caller always gets a correct
+result; the fallback is
 visible in :class:`LibraryStats`, on
 :attr:`~repro.harness.runner.OperatorRun.fallback_reason`, and as one
 :class:`KernelFallbackWarning` per affected cache key.
+
+Each library session owns one :class:`~repro.engine.runconfig.RunConfig`
+(validation mode, sanitizer, eval cache, ...), so two libraries in one
+process never see each other's settings.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..engine import compile_strategy, resolve_validate, validation_digest
+from ..engine import RunConfig, compile_strategy, validation_digest
 from ..engine.validate import compare_tensors
 from ..errors import SanitizerError, ValidationError, WorkloadError
 from ..harness.runner import (
@@ -40,7 +47,6 @@ from ..harness.runner import (
     _shard_input,
 )
 from ..machine.config import MachineConfig, default_config
-from ..machine.sanitizer import set_sanitize
 from ..machine.trace import SimReport
 from ..ops import conv2d_reference, select_method
 from ..ops.conv_common import ConvParams
@@ -79,7 +85,15 @@ class LibraryStats:
 
 
 class AtopLibrary:
-    """Tuned-operator library with a persistent kernel cache."""
+    """Tuned-operator library with a persistent kernel cache.
+
+    ``run`` (default :meth:`RunConfig.from_env`) configures every tuning
+    call and kernel of this session; its ``validate`` mode also gates
+    the trust check on cache hits.  The kernel cache persists winning
+    *strategies*; ``run.eval_cache`` persists individual candidate
+    *scores*, so even a first-time tuning call warm-starts from earlier
+    processes.
+    """
 
     def __init__(
         self,
@@ -87,10 +101,9 @@ class AtopLibrary:
         *,
         quick: bool = True,
         cache_path: Optional[Union[str, Path]] = None,
-        eval_cache_path: Optional[Union[str, Path]] = None,
-        validate: Optional[str] = None,
-        sanitize: Optional[bool] = None,
+        run: Optional[RunConfig] = None,
     ) -> None:
+        self.run = run or RunConfig.from_env()
         self.config = config or default_config()
         self.quick = quick
         self.cache_path = Path(cache_path) if cache_path else None
@@ -100,22 +113,6 @@ class AtopLibrary:
             self.cache = KernelCache.load(self.cache_path, strict=False)
         else:
             self.cache = KernelCache()
-        # the kernel cache above persists winning *strategies*; the
-        # eval cache persists individual candidate *scores*, so even a
-        # first-time tuning call warm-starts from earlier processes.
-        if eval_cache_path is not None:
-            from ..engine import set_eval_cache
-
-            set_eval_cache(eval_cache_path)
-        #: validation mode for library calls (``None`` inherits the
-        #: process-wide default, see ``repro.engine.set_default_validate``)
-        self.validate = (
-            validate if validate is None else resolve_validate(validate)
-        )
-        if sanitize is not None:
-            # like ``set_eval_cache`` above this installs process-wide
-            # state: the executor consults the sanitizer default.
-            set_sanitize(bool(sanitize))
         self.stats = LibraryStats()
         self._warned_keys: set = set()
 
@@ -152,7 +149,7 @@ class AtopLibrary:
             if entry is None:
                 run = CONV_RUNNERS[method](
                     params, x, w, library="swatop",
-                    quick=self.quick, config=self.config,
+                    quick=self.quick, config=self.config, run=self.run,
                 )
                 assert run.tuning is not None
                 entry = TunedEntry(
@@ -198,7 +195,7 @@ class AtopLibrary:
             if entry is None:
                 run = run_gemm(
                     a, b, library="swatop", quick=self.quick,
-                    config=self.config,
+                    config=self.config, run=self.run,
                 )
                 assert run.tuning is not None
                 entry = TunedEntry(
@@ -215,7 +212,9 @@ class AtopLibrary:
             else:
                 self.stats.cache_hits += 1
                 compute = gemm_compute(m, n, k)
-                ck = compile_strategy(compute, entry.strategy, self.config)
+                ck = compile_strategy(
+                    compute, entry.strategy, self.config, run=self.run
+                )
                 res = ck.run({"A": np.asarray(a, np.float32),
                               "B": np.asarray(b, np.float32)})
                 run = OperatorRun(report=res.report, output=res.outputs["C"])
@@ -265,7 +264,7 @@ class AtopLibrary:
             if all(e is not None for e in entries):
                 run = run_conv_strided(
                     params, x, w, library="swatop", method=method,
-                    quick=self.quick, config=self.config,
+                    quick=self.quick, config=self.config, run=self.run,
                     strategies=[e.strategy for e in entries],
                 )
                 self.stats.cache_hits += 1
@@ -277,7 +276,7 @@ class AtopLibrary:
             else:
                 run = run_conv_strided(
                     params, x, w, library="swatop", method=method,
-                    quick=self.quick, config=self.config,
+                    quick=self.quick, config=self.config, run=self.run,
                 )
                 if run.phase_strategies is not None:
                     for key, strategy in zip(keys, run.phase_strategies):
@@ -310,7 +309,7 @@ class AtopLibrary:
         runner = CONV_RUNNERS[method]
         return runner(
             params, x, w, library="swatop", config=self.config,
-            strategy=entry.strategy,
+            strategy=entry.strategy, run=self.run,
         )
 
     def _certify(
@@ -333,8 +332,7 @@ class AtopLibrary:
         raises :class:`~repro.errors.ValidationError` for the caller's
         quarantine-and-fall-back path.
         """
-        mode = resolve_validate(self.validate)
-        if mode == "off" or output is None:
+        if self.run.validate == "off" or output is None:
             return
         digest = validation_digest(key, entry.strategy)
         if entry.validation_digest == digest:

@@ -16,6 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..engine import RunConfig
 from ..machine.config import MachineConfig, default_config
 from ..machine.trace import SimReport
 from ..ops import applicable_methods, conv2d_reference
@@ -94,16 +95,18 @@ def run_network(
     config: Optional[MachineConfig] = None,
     seed: int = 0,
     max_layers: Optional[int] = None,
+    run: Optional[RunConfig] = None,
 ) -> NetworkResult:
     """Forward all conv layers of a network through the library.
 
     Activations flow layer to layer where shapes chain (channel counts
     match the table); spatial pooling between stages is emulated by
     average-pooling to the next layer's expected input.  ``scale``
-    shrinks spatial extents for the simulation budget.
+    shrinks spatial extents for the simulation budget.  ``run``
+    configures the library built when none is passed.
     """
     cfg = config or default_config()
-    lib = library or AtopLibrary(cfg)
+    lib = library or AtopLibrary(cfg, run=run)
     rng = np.random.default_rng(seed)
     layers = list(network(name))
     if max_layers is not None:
@@ -120,9 +123,9 @@ def run_network(
         methods = applicable_methods(params)
         strided_ok = params.stride > 1 and params.ni >= MIN_NI
         if methods or strided_ok:
-            run = lib.conv2d(x, w, params)
-            out = run.output
-            if run.fallback_reason is not None:
+            res = lib.conv2d(x, w, params)
+            out = res.output
+            if res.fallback_reason is not None:
                 # the library quarantined a bad kernel mid-pass and
                 # served the reference instead -- account it as a
                 # fallback layer, not a tuned one.
@@ -133,7 +136,7 @@ def run_network(
                 from ..ops.selector import select_method
 
                 method = select_method(params)
-            report = run.report
+            report = res.report
         else:
             out = conv2d_reference(x, w, params)
             seconds = params.flops / MPE_FALLBACK_FLOPS

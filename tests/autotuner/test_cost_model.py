@@ -15,6 +15,7 @@ from repro.autotuner import (
 )
 from repro.codegen import compile_candidate
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import TuningError
 from repro.ir import AffineExpr, DmaCgNode, DmaGeometry, TileAccess
 from repro.machine.config import default_config
@@ -24,6 +25,9 @@ from repro.primitives.microkernel import ALL_VARIANTS
 from repro.scheduler import Candidate, lower_strategy
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 class TestEq2:
@@ -121,7 +125,7 @@ class TestKernelPrediction:
         sp.split("M", [tm]); sp.split("N", [tn]); sp.split("K", [tk])
         strat = sp.strategy()
         cand = Candidate(strat, lower_strategy(cd, strat), cd)
-        return cd, compile_candidate(cand)
+        return cd, compile_candidate(cand, sanitize=SANITIZE)
 
     def test_prediction_close_to_simulation(self):
         """End-to-end: predicted vs simulated time within ~25% for a

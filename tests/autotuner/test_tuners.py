@@ -5,9 +5,13 @@ import pytest
 
 from repro.autotuner import synthetic_feeds, tune_blackbox, tune_with_model
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import TuningError
 
 from ..scheduler.test_lower import gemm_cd
+
+SERIAL = RunConfig.from_env(workers=1)
+TWO_WORKERS = RunConfig.from_env(workers=2)
 
 
 def small_space(M=256, N=256, K=256):
@@ -99,8 +103,8 @@ class TestBlackbox:
 class TestEngineIntegration:
     def test_blackbox_parallel_matches_serial(self):
         cd, sp = small_space(128, 128, 128)
-        serial = tune_blackbox(cd, sp, workers=1, keep_scores=True)
-        par = tune_blackbox(cd, sp, workers=2, keep_scores=True)
+        serial = tune_blackbox(cd, sp, run=SERIAL, keep_scores=True)
+        par = tune_blackbox(cd, sp, run=TWO_WORKERS, keep_scores=True)
         assert (
             par.best.candidate.strategy.decisions
             == serial.best.candidate.strategy.decisions
@@ -111,8 +115,8 @@ class TestEngineIntegration:
 
     def test_model_parallel_matches_serial(self):
         cd, sp = small_space(128, 128, 128)
-        serial = tune_with_model(cd, sp, workers=1, keep_scores=True)
-        par = tune_with_model(cd, sp, workers=2, keep_scores=True)
+        serial = tune_with_model(cd, sp, run=SERIAL, keep_scores=True)
+        par = tune_with_model(cd, sp, run=TWO_WORKERS, keep_scores=True)
         assert (
             par.best.candidate.strategy.decisions
             == serial.best.candidate.strategy.decisions

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import swdnn, xmath
+from repro.engine import RunConfig
 from repro.errors import WorkloadError
 from repro.ops.conv_common import ConvParams
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 class TestXmath:
@@ -13,7 +17,7 @@ class TestXmath:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((128, 256)).astype(np.float32)
         b = rng.standard_normal((256, 128)).astype(np.float32)
-        res = xmath.xmath_gemm(a, b)
+        res = xmath.xmath_gemm(a, b, sanitize=SANITIZE)
         np.testing.assert_allclose(res.output, a @ b, rtol=1e-4, atol=1e-3)
         assert not res.padded
 
@@ -21,7 +25,7 @@ class TestXmath:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((100, 70)).astype(np.float32)
         b = rng.standard_normal((70, 90)).astype(np.float32)
-        res = xmath.xmath_gemm(a, b)
+        res = xmath.xmath_gemm(a, b, sanitize=SANITIZE)
         np.testing.assert_allclose(res.output, a @ b, rtol=1e-4, atol=1e-3)
         assert res.padded
 
@@ -29,10 +33,10 @@ class TestXmath:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((250, 250)).astype(np.float32)
         b = rng.standard_normal((250, 250)).astype(np.float32)
-        unaligned = xmath.xmath_gemm(a, b)
+        unaligned = xmath.xmath_gemm(a, b, sanitize=SANITIZE)
         a2 = rng.standard_normal((256, 256)).astype(np.float32)
         b2 = rng.standard_normal((256, 256)).astype(np.float32)
-        aligned = xmath.xmath_gemm(a2, b2)
+        aligned = xmath.xmath_gemm(a2, b2, sanitize=SANITIZE)
         # less useful work but more cycles: the padding overhead
         assert unaligned.report.cycles > aligned.report.cycles
 
@@ -46,16 +50,18 @@ class TestXmath:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((512, 512)).astype(np.float32)
         b = rng.standard_normal((512, 512)).astype(np.float32)
-        sweet = xmath.xmath_gemm(a, b)
+        sweet = xmath.xmath_gemm(a, b, sanitize=SANITIZE)
         # a skinny aligned shape outside the niche, same flops
         a2 = rng.standard_normal((128, 2048)).astype(np.float32)
         b2 = rng.standard_normal((2048, 512)).astype(np.float32)
-        generic = xmath.xmath_gemm(a2, b2)
+        generic = xmath.xmath_gemm(a2, b2, sanitize=SANITIZE)
         assert sweet.report.cycles < generic.report.cycles
 
     def test_operand_validation(self):
         with pytest.raises(WorkloadError):
-            xmath.xmath_gemm(np.zeros((4, 4)), np.zeros((5, 4)))
+            xmath.xmath_gemm(
+                np.zeros((4, 4)), np.zeros((5, 4)), sanitize=SANITIZE
+            )
 
 
 class TestSwdnn:

@@ -4,10 +4,14 @@ import pytest
 
 from repro.codegen import compile_candidate, emit_c
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import CodegenError
 from repro.scheduler import Candidate, lower_strategy
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def build(M=128, N=96, K=80, tm=64, tn=48, tk=32):
@@ -16,7 +20,7 @@ def build(M=128, N=96, K=80, tm=64, tn=48, tk=32):
     sp.split("M", [tm]); sp.split("N", [tn]); sp.split("K", [tk])
     strat = sp.strategy()
     cand = Candidate(strat, lower_strategy(cd, strat), cd)
-    ck = compile_candidate(cand)
+    ck = compile_candidate(cand, sanitize=SANITIZE)
     return ck.kernel, emit_c(ck.kernel)
 
 

@@ -5,12 +5,16 @@ import pytest
 
 from repro.codegen import compile_candidate
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import IrError
 from repro.ir import ForNode, walk
 from repro.optimizer.prefetch import pipelined_loops
 from repro.scheduler import Candidate, LoweringOptions, lower_strategy
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def candidate(double_buffer=True, M=128, N=128, K=128):
@@ -26,11 +30,13 @@ def candidate(double_buffer=True, M=128, N=128, K=128):
 
 class TestCompilePipeline:
     def test_default_pipeline_prefetches(self):
-        ck = compile_candidate(candidate())
+        ck = compile_candidate(candidate(), sanitize=SANITIZE)
         assert pipelined_loops(ck.kernel)
 
     def test_prefetch_disabled(self):
-        ck = compile_candidate(candidate(double_buffer=False), prefetch=False)
+        ck = compile_candidate(
+            candidate(double_buffer=False), prefetch=False, sanitize=SANITIZE
+        )
         assert not pipelined_loops(ck.kernel)
         # still runs correctly
         rng = np.random.default_rng(0)
@@ -43,10 +49,13 @@ class TestCompilePipeline:
         """Asking for prefetch on a single-buffered lowering must fail
         loudly, not silently under-reserve the scratch pad."""
         with pytest.raises(IrError):
-            compile_candidate(candidate(double_buffer=False), prefetch=True)
+            compile_candidate(
+                candidate(double_buffer=False), prefetch=True,
+                sanitize=SANITIZE,
+            )
 
     def test_compiled_kernel_exposes_plan(self):
-        ck = compile_candidate(candidate())
+        ck = compile_candidate(candidate(), sanitize=SANITIZE)
         assert ck.spm_plan.total_bytes > 0
         assert set(ck.storage_shapes) == {"A", "B", "C"}
 
@@ -54,7 +63,7 @@ class TestCompilePipeline:
         cand = candidate()
         before = sum(1 for n in walk(cand.kernel)
                      if isinstance(n, ForNode) and n.pipelined)
-        compile_candidate(cand)
+        compile_candidate(cand, sanitize=SANITIZE)
         after = sum(1 for n in walk(cand.kernel)
                     if isinstance(n, ForNode) and n.pipelined)
         assert before == after == 0  # passes rebuild, never mutate

@@ -7,10 +7,14 @@ import pytest
 from repro.codegen import compile_candidate
 from repro.codegen.executor import CompiledKernel
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import CodegenError
 from repro.scheduler import Candidate, LoweringOptions, lower_strategy
 
 from ..scheduler.test_lower import conv_cd, gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def gemm_candidate(M=128, N=96, K=80, tm=64, tn=48, tk=32, **overrides):
@@ -23,7 +27,7 @@ def gemm_candidate(M=128, N=96, K=80, tm=64, tn=48, tk=32, **overrides):
 
 
 def run_gemm(cand, M, N, K, seed=0):
-    ck = compile_candidate(cand)
+    ck = compile_candidate(cand, sanitize=SANITIZE)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((M, K)).astype(np.float32)
     b = rng.standard_normal((K, N)).astype(np.float32)
@@ -55,7 +59,7 @@ class TestFunctional:
             sp.split(ax, [f])
         sp.split("Kr", [1]); sp.split("Kc", [1])
         cand = Candidate(sp.strategy(), lower_strategy(cd, sp.strategy()), cd)
-        ck = compile_candidate(cand)
+        ck = compile_candidate(cand, sanitize=SANITIZE)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 8, 10, 10)).astype(np.float32)
         w = rng.standard_normal((16, 8, 3, 3)).astype(np.float32)
@@ -80,13 +84,13 @@ class TestFunctional:
 
     def test_missing_feed_rejected(self):
         cand = gemm_candidate()
-        ck = compile_candidate(cand)
+        ck = compile_candidate(cand, sanitize=SANITIZE)
         with pytest.raises(CodegenError):
             ck.run({"A": np.zeros((128, 80), np.float32)})
 
     def test_wrong_shape_rejected(self):
         cand = gemm_candidate()
-        ck = compile_candidate(cand)
+        ck = compile_candidate(cand, sanitize=SANITIZE)
         with pytest.raises(CodegenError):
             ck.run({
                 "A": np.zeros((128, 81), np.float32),
@@ -96,7 +100,8 @@ class TestFunctional:
     def test_uninferred_kernel_rejected(self):
         cand = gemm_candidate()
         with pytest.raises(CodegenError):
-            CompiledKernel(cand.kernel, cand.compute)  # raw IR, no geometry
+            # raw IR, no geometry
+            CompiledKernel(cand.kernel, cand.compute, sanitize=SANITIZE)
 
 
 class TestTiming:
@@ -122,10 +127,13 @@ class TestTiming:
             cd, strat, options=LoweringOptions(double_buffer=False)
         )
         base = compile_candidate(
-            Candidate(strat, base_kernel, cd), prefetch=False
+            Candidate(strat, base_kernel, cd), prefetch=False,
+            sanitize=SANITIZE,
         )
         fast_kernel = lower_strategy(cd, strat)
-        fast = compile_candidate(Candidate(strat, fast_kernel, cd))
+        fast = compile_candidate(
+            Candidate(strat, fast_kernel, cd), sanitize=SANITIZE
+        )
 
         rng = np.random.default_rng(0)
         feeds = {
@@ -152,7 +160,8 @@ class TestTiming:
             sp.layout("A", [perm])
             strat = sp.strategy()
             return compile_candidate(
-                Candidate(strat, lower_strategy(cd, strat), cd)
+                Candidate(strat, lower_strategy(cd, strat), cd),
+                sanitize=SANITIZE,
             )
         rng = np.random.default_rng(0)
         feeds = {

@@ -8,6 +8,7 @@ import pytest
 
 from repro.codegen.executor import CompiledKernel, _ExecState
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import CodegenError, SanitizerError
 from repro.ir import (
     AffineExpr,
@@ -28,13 +29,18 @@ from repro.codegen import compile_candidate
 
 from ..scheduler.test_lower import gemm_cd
 
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
+
 
 def compiled(M=64, N=64, K=64):
     cd = gemm_cd(M, N, K)
     sp = ScheduleSpace(cd)
     sp.split("M", [32]); sp.split("N", [32]); sp.split("K", [32])
     strat = sp.strategy()
-    return cd, compile_candidate(Candidate(strat, lower_strategy(cd, strat), cd))
+    return cd, compile_candidate(
+        Candidate(strat, lower_strategy(cd, strat), cd), sanitize=SANITIZE
+    )
 
 
 def _feeds(M=64, N=64, K=64, seed=0):
@@ -60,7 +66,7 @@ class TestFeedValidation:
             body=SeqNode([bad]),
         )
         with pytest.raises(CodegenError):
-            CompiledKernel(kernel, cd)
+            CompiledKernel(kernel, cd, sanitize=SANITIZE)
 
     def test_out_of_bounds_access_rejected_at_run(self):
         """An access whose evaluated offset escapes the tensor must be
@@ -80,7 +86,7 @@ class TestFeedValidation:
             return None
 
         bad_kernel = transform(ck.kernel, corrupt)
-        bad = CompiledKernel(bad_kernel, cd)
+        bad = CompiledKernel(bad_kernel, cd, sanitize=SANITIZE)
         rng = np.random.default_rng(0)
         feeds = {
             "A": rng.standard_normal((64, 64)).astype(np.float32),
@@ -106,7 +112,7 @@ class TestFeedValidation:
             return None
 
         bad_kernel = transform(ck.kernel, inflate)
-        bad = CompiledKernel(bad_kernel, cd)
+        bad = CompiledKernel(bad_kernel, cd, sanitize=SANITIZE)
         rng = np.random.default_rng(1)
         feeds = {
             "A": rng.standard_normal((64, 64)).astype(np.float32),
@@ -130,7 +136,7 @@ class TestFeedValidation:
                 )
             return None
 
-        bad = CompiledKernel(transform(ck.kernel, skew), cd)
+        bad = CompiledKernel(transform(ck.kernel, skew), cd, sanitize=SANITIZE)
         rng = np.random.default_rng(2)
         feeds = {
             "A": rng.standard_normal((64, 64)).astype(np.float32),
@@ -221,13 +227,12 @@ class TestMachineSanitizer:
         assert err.node.startswith("gemm[")
         assert err.byte_range is not None
 
-    def test_sanitizer_off_by_default_and_costless(self, monkeypatch):
+    def test_sanitizer_off_by_default_and_costless(self):
         """Without opt-in the executor holds no sanitizer at all:
         results identical, ``sanitizer_checks`` unset."""
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         cd, ck = compiled()
         feeds = _feeds()
-        plain = ck.run(feeds)
+        plain = CompiledKernel(ck.kernel, cd).run(feeds)
         assert plain.sanitizer_checks is None
         san = CompiledKernel(ck.kernel, cd, sanitize=True).run(feeds)
         assert san.sanitizer_checks and san.sanitizer_checks > 0

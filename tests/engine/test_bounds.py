@@ -13,9 +13,10 @@ import pytest
 from repro.dsl import ScheduleSpace
 from repro.dsl.schedule import ScheduleStrategy
 from repro.engine import (
-    BOUND_SAFETY,
     AnalyticEvaluator,
+    BOUND_SAFETY,
     CandidatePipeline,
+    RunConfig,
     SimulatorEvaluator,
     definitely_infeasible,
     strategy_bound,
@@ -24,6 +25,9 @@ from repro.engine.bounds import VACUOUS
 from repro.machine.config import default_config
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def space_of(cd, splits):
@@ -80,7 +84,7 @@ class TestAdmissibilityVsMeasurement:
     def test_bound_never_exceeds_measured_cycles(self):
         cd = gemm_cd(64, 64, 64)
         pipe = CandidatePipeline(cd, space_of(cd, [32, 64]))
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         for cand in pipe.candidates():
             bound = strategy_bound(cd, cand.strategy, pipe.config)
             measured = sim.evaluate(cand).measured_cycles

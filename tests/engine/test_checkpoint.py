@@ -15,21 +15,14 @@ from repro.dsl import ScheduleSpace
 from repro.engine import (
     AnalyticEvaluator,
     CandidatePipeline,
+    RunConfig,
     SearchCheckpoint,
     search_candidates,
-    set_default_checkpoint,
 )
 from repro.engine.checkpoint import CHECKPOINT_VERSION
 from repro.engine.evalcache import CODE_SALT
 
 from ..scheduler.test_lower import gemm_cd
-
-
-@pytest.fixture(autouse=True)
-def no_default_checkpoint():
-    set_default_checkpoint(None)
-    yield
-    set_default_checkpoint(None)
 
 
 def make_space():
@@ -41,18 +34,23 @@ def make_space():
     return cd, sp
 
 
-def make_pipeline():
+def make_pipeline(checkpoint=None, resume=False, **kw):
     cd, sp = make_space()
-    return CandidatePipeline(cd, sp)
+    run = RunConfig(checkpoint=checkpoint, resume=resume)
+    return CandidatePipeline(cd, sp, run=run, **kw)
 
 
-def run_search(pipeline, evaluator=None, **kw):
+def run_search(pipeline, evaluator=None):
     evaluator = evaluator or AnalyticEvaluator(config=pipeline.config)
     # batch_size=4 gives the space several branch-and-bound batches
     # (i.e. several checkpoint writes) before the tail is pruned
-    return search_candidates(
-        pipeline, evaluator, prune=True, batch_size=4, **kw
-    )
+    return search_candidates(pipeline, evaluator, batch_size=4)
+
+
+def checkpoint_file(directory):
+    """The one digest-named file the searches of one space write."""
+    (path,) = directory.glob("search-*.json")
+    return path
 
 
 def signature(pairs):
@@ -81,79 +79,96 @@ class InterruptingEvaluator(AnalyticEvaluator):
 
 class TestCheckpointFile:
     def test_written_and_complete(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        pipeline = make_pipeline()
-        results = run_search(pipeline, checkpoint=path)
+        pipeline = make_pipeline(checkpoint=tmp_path)
+        results = run_search(pipeline)
         assert results
-        raw = json.loads(path.read_text())
+        raw = json.loads(checkpoint_file(tmp_path).read_text())
         assert raw["version"] == CHECKPOINT_VERSION
         assert raw["salt"] == CODE_SALT
         assert raw["complete"] is True
         assert len(raw["scored"]) == len(results)
 
     def test_resume_complete_checkpoint_skips_evaluation(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        first_pipe = make_pipeline()
-        first = run_search(first_pipe, checkpoint=path)
+        first_pipe = make_pipeline(checkpoint=tmp_path)
+        first = run_search(first_pipe)
 
-        second_pipe = make_pipeline()
-        second = run_search(second_pipe, checkpoint=path, resume=True)
+        second_pipe = make_pipeline(checkpoint=tmp_path, resume=True)
+        second = run_search(second_pipe)
         assert signature(second) == signature(first)
         # everything came from the checkpoint, nothing was re-scored
         assert second_pipe.metrics.prediction.count == 0
         assert second_pipe.metrics.event_counts().get("checkpoint-resume") == 1
 
     def test_interrupt_then_resume_bit_identical(self, tmp_path):
-        path = tmp_path / "ckpt.json"
         clean_pipe = make_pipeline()
         clean = run_search(clean_pipe)
 
-        interrupted_pipe = make_pipeline()
+        interrupted_pipe = make_pipeline(checkpoint=tmp_path)
         interrupting = InterruptingEvaluator(
             budget=5, config=interrupted_pipe.config
         )
         with pytest.raises(KeyboardInterrupt):
-            run_search(interrupted_pipe, interrupting, checkpoint=path)
-        partial = json.loads(path.read_text())
+            run_search(interrupted_pipe, interrupting)
+        partial = json.loads(checkpoint_file(tmp_path).read_text())
         assert partial["complete"] is False
         # it really stopped mid-sweep with at least one batch banked
         assert 0 < len(partial["scored"]) < len(clean)
 
-        resumed_pipe = make_pipeline()
-        resumed = run_search(resumed_pipe, checkpoint=path, resume=True)
+        resumed_pipe = make_pipeline(checkpoint=tmp_path, resume=True)
+        resumed = run_search(resumed_pipe)
         assert signature(resumed) == signature(clean)
         # the resumed run scored strictly less than the whole sweep
         assert 0 < resumed_pipe.metrics.prediction.count < len(clean)
 
     def test_without_resume_checkpoint_is_ignored(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        first_pipe = make_pipeline()
-        first = run_search(first_pipe, checkpoint=path)
+        first_pipe = make_pipeline(checkpoint=tmp_path)
+        first = run_search(first_pipe)
 
-        again_pipe = make_pipeline()
-        again = run_search(again_pipe, checkpoint=path)  # resume not set
+        again_pipe = make_pipeline(checkpoint=tmp_path)
+        again = run_search(again_pipe)  # no resume
         assert signature(again) == signature(first)
         assert again_pipe.metrics.prediction.count > 0  # re-evaluated
 
 
 class TestCheckpointValidation:
     def test_corrupt_checkpoint_quarantined_and_fresh(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        run_search(make_pipeline(checkpoint=tmp_path))
+        path = checkpoint_file(tmp_path)
         path.write_text("{definitely not json")
-        pipeline = make_pipeline()
-        results = run_search(pipeline, checkpoint=path, resume=True)
+        pipeline = make_pipeline(checkpoint=tmp_path, resume=True)
+        results = run_search(pipeline)
         assert results
-        assert (tmp_path / "ckpt.json.corrupt").exists()
+        assert path.with_name(path.name + ".corrupt").exists()
         assert json.loads(path.read_text())["complete"] is True
 
     def test_mismatched_space_ignored_in_place(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        clean = run_search(make_pipeline(checkpoint=tmp_path))
+        path = checkpoint_file(tmp_path)
         SearchCheckpoint(space="0" * 64, pos=4).save(path)
-        pipeline = make_pipeline()
-        clean = run_search(make_pipeline())
-        results = run_search(pipeline, checkpoint=path, resume=True)
+        pipeline = make_pipeline(checkpoint=tmp_path, resume=True)
+        results = run_search(pipeline)
         assert signature(results) == signature(clean)
-        assert not (tmp_path / "ckpt.json.corrupt").exists()
+        assert pipeline.metrics.prediction.count > 0  # not resumed
+        assert not path.with_name(path.name + ".corrupt").exists()
+
+    def test_lowering_context_gets_its_own_checkpoint(self, tmp_path):
+        """Same space, different lowering (the Fig. 10 baseline arm):
+        resuming must not hand one search the other's scores."""
+        from repro.scheduler.lower import LoweringOptions
+
+        def baseline_pipeline(**kw):
+            return make_pipeline(
+                options=LoweringOptions(double_buffer=False),
+                prefetch=False, **kw,
+            )
+
+        clean = run_search(baseline_pipeline())
+        run_search(make_pipeline(checkpoint=tmp_path))
+        resumed = run_search(
+            baseline_pipeline(checkpoint=tmp_path, resume=True)
+        )
+        assert signature(resumed) == signature(clean)
+        assert len(list(tmp_path.glob("search-*.json"))) == 2
 
     def test_inconsistent_cursor_quarantined(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -180,35 +195,28 @@ class TestCheckpointValidation:
 
 class TestDefaultPolicy:
     def test_directory_policy_resumes_per_search(self, tmp_path):
-        set_default_checkpoint(tmp_path, resume=True)
-        first_pipe = make_pipeline()
+        first_pipe = make_pipeline(checkpoint=tmp_path, resume=True)
         first = run_search(first_pipe)
         files = list(tmp_path.glob("search-*.json"))
         assert len(files) == 1
 
-        second_pipe = make_pipeline()
+        second_pipe = make_pipeline(checkpoint=tmp_path, resume=True)
         second = run_search(second_pipe)
         assert signature(second) == signature(first)
         assert second_pipe.metrics.prediction.count == 0  # resumed
 
-    def test_explicit_argument_beats_policy(self, tmp_path):
-        set_default_checkpoint(tmp_path / "policy-dir", resume=True)
-        explicit = tmp_path / "explicit.json"
-        run_search(make_pipeline(), checkpoint=explicit)
-        assert explicit.exists()
-        assert not (tmp_path / "policy-dir").exists()
-
 
 class TestTunerResume:
     def test_tune_with_model_resume_from(self, tmp_path):
-        path = tmp_path / "tuner.json"
         cd, sp = make_space()
         first = tune_with_model(
-            cd, sp, run_best=False, prune=True, checkpoint=path
+            cd, sp, run_best=False,
+            run=RunConfig.from_env(checkpoint=tmp_path),
         )
         cd2, sp2 = make_space()
         resumed = tune_with_model(
-            cd2, sp2, run_best=False, prune=True, resume_from=path
+            cd2, sp2, run_best=False,
+            run=RunConfig.from_env(checkpoint=tmp_path, resume=True),
         )
         assert (
             resumed.best.candidate.strategy.decisions

@@ -10,6 +10,7 @@ from repro.engine import (
     CandidatePipeline,
     EngineMetrics,
     MemoizingEvaluator,
+    RunConfig,
     SimulatorEvaluator,
     clear_feeds_cache,
     clip_strategy,
@@ -22,6 +23,12 @@ from repro.engine import (
 from repro.errors import TuningError
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
+
+SERIAL = RunConfig(workers=1)
+TWO_WORKERS = RunConfig(workers=2)
 
 
 def small_space(M=128, N=128, K=128):
@@ -94,7 +101,7 @@ class TestEvaluators:
     def test_simulator_measures_and_counts(self):
         cd, sp = small_space(64, 64, 64)
         cand = next(CandidatePipeline(cd, sp).candidates())
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         ev = sim.evaluate(cand)
         assert sim.executions == 1
         assert ev.measured_cycles is not None and ev.measured_cycles > 0
@@ -118,7 +125,7 @@ class TestMemoization:
     def test_second_evaluation_is_a_hit(self):
         cd, sp = small_space(64, 64, 64)
         cand = next(CandidatePipeline(cd, sp).candidates())
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         memo = MemoizingEvaluator(sim, store={})
         first = memo.evaluate(cand)
         second = memo.evaluate(cand)
@@ -132,7 +139,7 @@ class TestMemoization:
         cd, sp = small_space(64, 64, 64)
         cand = next(CandidatePipeline(cd, sp).candidates())
         store = {}
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         MemoizingEvaluator(sim, store=store, salt=("prefetch",)).evaluate(cand)
         MemoizingEvaluator(sim, store=store, salt=("bare",)).evaluate(cand)
         assert sim.executions == 2  # different salt: no sharing
@@ -142,11 +149,11 @@ class TestMemoization:
         cd, sp = small_space(64, 64, 64)
         cands = list(CandidatePipeline(cd, sp).candidates())
         store = {}
-        warm = SimulatorEvaluator()
+        warm = SimulatorEvaluator(sanitize=SANITIZE)
         first = evaluate_batch(cands, MemoizingEvaluator(warm, store=store))
         assert warm.executions == len(cands)
 
-        cold = SimulatorEvaluator()
+        cold = SimulatorEvaluator(sanitize=SANITIZE)
         metrics = EngineMetrics()
         second = evaluate_batch(
             cands, MemoizingEvaluator(cold, store=store), metrics=metrics
@@ -165,8 +172,12 @@ class TestParallelBatch:
         cd, sp = small_space()
         cands = list(CandidatePipeline(cd, sp).candidates())
         assert len(cands) > 1
-        serial = evaluate_batch(cands, SimulatorEvaluator(), workers=1)
-        parallel = evaluate_batch(cands, SimulatorEvaluator(), workers=2)
+        serial = evaluate_batch(
+            cands, SimulatorEvaluator(sanitize=SANITIZE), run=SERIAL
+        )
+        parallel = evaluate_batch(
+            cands, SimulatorEvaluator(sanitize=SANITIZE), run=TWO_WORKERS
+        )
         assert len(serial) == len(parallel) == len(cands)
         assert [e.measured_cycles for e in serial] == [
             e.measured_cycles for e in parallel
@@ -175,8 +186,8 @@ class TestParallelBatch:
     def test_results_are_order_stable(self):
         cd, sp = small_space()
         cands = list(CandidatePipeline(cd, sp).candidates())
-        sim = SimulatorEvaluator()
-        batch = evaluate_batch(cands, sim, workers=2, chunk_size=1)
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
+        batch = evaluate_batch(cands, sim, run=TWO_WORKERS, chunk_size=1)
         for cand, ev in zip(cands, batch):
             assert ev.measured_cycles == sim.evaluate(cand).measured_cycles
 
@@ -186,17 +197,24 @@ class TestParallelBatch:
         cd, sp = small_space()
         cands = list(CandidatePipeline(cd, sp).candidates())
         reference = [
-            SimulatorEvaluator().evaluate(c).measured_cycles for c in cands
+            SimulatorEvaluator(sanitize=SANITIZE).evaluate(c).measured_cycles
+            for c in cands
         ]
         for workers in (2, 3, len(cands)):
-            batch = evaluate_batch(cands, SimulatorEvaluator(), workers=workers)
+            batch = evaluate_batch(
+                cands, SimulatorEvaluator(sanitize=SANITIZE),
+                run=RunConfig(workers=workers),
+            )
             assert [e.measured_cycles for e in batch] == reference
 
     def test_metrics_record_workers_and_counts(self):
         cd, sp = small_space()
         cands = list(CandidatePipeline(cd, sp).candidates())
         metrics = EngineMetrics()
-        evaluate_batch(cands, SimulatorEvaluator(), workers=2, metrics=metrics)
+        evaluate_batch(
+            cands, SimulatorEvaluator(sanitize=SANITIZE), run=TWO_WORKERS,
+            metrics=metrics,
+        )
         assert metrics.workers == 2
         assert metrics.execution.count == len(cands)
         assert metrics.execution.seconds > 0

@@ -9,14 +9,16 @@ from repro.engine import (
     CandidatePipeline,
     MemoizingEvaluator,
     PersistentEvalStore,
+    RunConfig,
     SimulatorEvaluator,
-    default_eval_store,
     evaluate_batch,
-    set_eval_cache,
 )
 from repro.engine.evalcache import EVAL_CACHE_VERSION
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 @pytest.fixture
@@ -29,21 +31,12 @@ def candidate():
     return next(CandidatePipeline(cd, sp).candidates())
 
 
-@pytest.fixture
-def no_default_store():
-    """Isolate tests from any process-wide eval cache."""
-    before = default_eval_store()
-    set_eval_cache(None)
-    yield
-    set_eval_cache(before)
-
-
 class TestPersistentEvalStore:
-    def test_roundtrip_across_reload(self, tmp_path, candidate, no_default_store):
+    def test_roundtrip_across_reload(self, tmp_path, candidate):
         path = tmp_path / "scores.json"
         store = PersistentEvalStore(path)
         memo = MemoizingEvaluator(
-            SimulatorEvaluator(), store={}, disk=store
+            SimulatorEvaluator(sanitize=SANITIZE), store={}, disk=store
         )
         first = memo.evaluate(candidate)
         store.flush()
@@ -51,7 +44,7 @@ class TestPersistentEvalStore:
 
         reloaded = PersistentEvalStore(path)
         assert len(reloaded) == 1
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         memo2 = MemoizingEvaluator(sim, store={}, disk=reloaded)
         second = memo2.evaluate(candidate)
         assert sim.executions == 0  # answered from disk, not re-simulated
@@ -59,18 +52,18 @@ class TestPersistentEvalStore:
         assert second.measured_cycles == first.measured_cycles
         assert reloaded.hits == 1 and memo2.disk_hits == 1
 
-    def test_salt_mismatch_discards_store(self, tmp_path, candidate, no_default_store):
+    def test_salt_mismatch_discards_store(self, tmp_path, candidate):
         path = tmp_path / "scores.json"
         store = PersistentEvalStore(path, salt="code-v1")
         MemoizingEvaluator(
-            SimulatorEvaluator(), store={}, disk=store
+            SimulatorEvaluator(sanitize=SANITIZE), store={}, disk=store
         ).evaluate(candidate)
         store.flush()
 
         stale = PersistentEvalStore(path, salt="code-v2")
         assert len(stale) == 0
 
-    def test_version_mismatch_discards_store(self, tmp_path, no_default_store):
+    def test_version_mismatch_discards_store(self, tmp_path):
         path = tmp_path / "scores.json"
         payload = {
             "version": EVAL_CACHE_VERSION + 1,
@@ -80,13 +73,13 @@ class TestPersistentEvalStore:
         path.write_text(json.dumps(payload))
         assert len(PersistentEvalStore(path)) == 0
 
-    def test_corrupt_file_starts_empty(self, tmp_path, no_default_store):
+    def test_corrupt_file_starts_empty(self, tmp_path):
         path = tmp_path / "scores.json"
         path.write_text("{not json")
         store = PersistentEvalStore(path)
         assert len(store) == 0
 
-    def test_unsalvageable_file_quarantined(self, tmp_path, no_default_store):
+    def test_unsalvageable_file_quarantined(self, tmp_path):
         path = tmp_path / "scores.json"
         path.write_text("{not json")
         store = PersistentEvalStore(path)
@@ -97,11 +90,13 @@ class TestPersistentEvalStore:
         assert "corrupt original" in store.describe()
 
     def test_truncated_file_recovers_valid_prefix(
-        self, tmp_path, candidate, no_default_store
+        self, tmp_path, candidate
     ):
         path = tmp_path / "scores.json"
         store = PersistentEvalStore(path)
-        memo = MemoizingEvaluator(SimulatorEvaluator(), store={}, disk=store)
+        memo = MemoizingEvaluator(
+            SimulatorEvaluator(sanitize=SANITIZE), store={}, disk=store
+        )
         evaluation = memo.evaluate(candidate)
         # pad with synthetic entries so a truncation point falls
         # between entries, then tear the tail off the file
@@ -116,7 +111,7 @@ class TestPersistentEvalStore:
         assert 0 < len(recovered) < 21
         assert "recovered" in recovered.describe()
         # the real entry survives: it was written first
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         MemoizingEvaluator(sim, store={}, disk=recovered).evaluate(candidate)
         assert sim.executions == 0  # answered from the recovered prefix
         # recovery marks the store dirty so the next flush rewrites a
@@ -127,7 +122,7 @@ class TestPersistentEvalStore:
         assert len(clean) == len(recovered)
 
     def test_malformed_entries_skipped_individually(
-        self, tmp_path, no_default_store
+        self, tmp_path
     ):
         path = tmp_path / "scores.json"
         probe = PersistentEvalStore(tmp_path / "probe.json")
@@ -149,10 +144,12 @@ class TestPersistentEvalStore:
         store.flush()  # rewrites without the bad entries
         assert len(PersistentEvalStore(path)) == 1
 
-    def test_flush_is_atomic_and_idempotent(self, tmp_path, candidate, no_default_store):
+    def test_flush_is_atomic_and_idempotent(self, tmp_path, candidate):
         path = tmp_path / "nested" / "scores.json"
         store = PersistentEvalStore(path)
-        memo = MemoizingEvaluator(SimulatorEvaluator(), store={}, disk=store)
+        memo = MemoizingEvaluator(
+            SimulatorEvaluator(sanitize=SANITIZE), store={}, disk=store
+        )
         memo.evaluate(candidate)
         store.flush()
         mtime = path.stat().st_mtime_ns
@@ -161,19 +158,21 @@ class TestPersistentEvalStore:
         assert not list(path.parent.glob("*.tmp"))  # no temp litter
 
     def test_reports_survive_the_disk_roundtrip(
-        self, tmp_path, candidate, no_default_store
+        self, tmp_path, candidate
     ):
         """Harness drivers read ``result.report.cycles`` (and .seconds,
         .gflops) off warm runs, so the numeric report summary must come
         back from disk with the requesting evaluator's config."""
         path = tmp_path / "scores.json"
         store = PersistentEvalStore(path)
-        memo = MemoizingEvaluator(SimulatorEvaluator(), store={}, disk=store)
+        memo = MemoizingEvaluator(
+            SimulatorEvaluator(sanitize=SANITIZE), store={}, disk=store
+        )
         original = memo.evaluate(candidate).report
         assert original is not None
         store.flush()
 
-        sim = SimulatorEvaluator()
+        sim = SimulatorEvaluator(sanitize=SANITIZE)
         hit = MemoizingEvaluator(
             sim, store={}, disk=PersistentEvalStore(path)
         ).evaluate(candidate)
@@ -188,42 +187,43 @@ class TestPersistentEvalStore:
 
 
 class TestProcessWideDefault:
-    def test_memoizer_picks_up_installed_cache(self, tmp_path, candidate):
-        before = default_eval_store()
-        try:
-            store = set_eval_cache(tmp_path / "scores.json")
-            sim = SimulatorEvaluator()
-            memo = MemoizingEvaluator(sim, store={})  # no explicit disk
-            assert memo.disk is store
-            memo.evaluate(candidate)
-            memo.flush()
+    """The store belongs to a run (``RunConfig.eval_cache``), never to
+    the process."""
 
-            fresh = SimulatorEvaluator()
-            again = MemoizingEvaluator(fresh, store={})
-            again.evaluate(candidate)
-            assert fresh.executions == 0
-        finally:
-            set_eval_cache(before)
+    def test_memoizer_picks_up_installed_cache(self, tmp_path):
+        from repro.autotuner import tune_with_model
+        from repro.engine import clear_shared_memo
+
+        clear_shared_memo()  # in-process hits would never reach the disk
+        cd = gemm_cd(96, 64, 32)
+        sp = ScheduleSpace(cd)
+        sp.split("M", [32, 96])
+        sp.split("N", [32, 64])
+        sp.split("K", [32])
+        store = PersistentEvalStore(tmp_path / "scores.json")
+        tune_with_model(cd, sp, top_k=2, run=RunConfig(eval_cache=store))
+        assert len(store) == 2  # the tuner's measurements landed there
+        assert (tmp_path / "scores.json").exists()
 
     def test_explicit_none_disables_disk(self, tmp_path, candidate):
-        before = default_eval_store()
-        try:
-            set_eval_cache(tmp_path / "scores.json")
-            memo = MemoizingEvaluator(SimulatorEvaluator(), store={}, disk=None)
-            assert memo.disk is None
-        finally:
-            set_eval_cache(before)
+        # another store existing in the process is never picked up
+        PersistentEvalStore(tmp_path / "scores.json")
+        memo = MemoizingEvaluator(
+            SimulatorEvaluator(sanitize=SANITIZE), store={}
+        )
+        assert memo.disk is None
+        memo.evaluate(candidate)
+        memo.flush()
+        assert not (tmp_path / "scores.json").exists()
 
     def test_batch_flushes_at_boundary(self, tmp_path, candidate):
-        before = default_eval_store()
-        try:
-            path = tmp_path / "scores.json"
-            set_eval_cache(path)
-            memo = MemoizingEvaluator(SimulatorEvaluator(), store={})
-            evaluate_batch([candidate], memo)
-            assert path.exists()  # no explicit flush() needed
-        finally:
-            set_eval_cache(before)
+        path = tmp_path / "scores.json"
+        memo = MemoizingEvaluator(
+            SimulatorEvaluator(sanitize=SANITIZE), store={},
+            disk=PersistentEvalStore(path),
+        )
+        evaluate_batch([candidate], memo)
+        assert path.exists()  # no explicit flush() needed
 
 
 class TestQuarantineSidecars:

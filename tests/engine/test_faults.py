@@ -18,6 +18,7 @@ from repro.engine import (
     FailedEvaluation,
     MemoizingEvaluator,
     PersistentEvalStore,
+    RunConfig,
     evaluate_batch,
     search_candidates,
 )
@@ -29,34 +30,27 @@ from repro.faults import (
     InjectedEvaluatorError,
     InjectedHang,
     candidate_digest,
-    set_fault_plan,
 )
 
 from ..scheduler.test_lower import gemm_cd
 
+SERIAL = RunConfig(workers=1)
+
 
 @pytest.fixture(autouse=True)
 def clean_engine_state():
-    from repro.engine import set_default_checkpoint, set_eval_cache
-
-    set_fault_plan(None)
-    set_default_checkpoint(None)
-    set_eval_cache(None)
     par.reset_degradation_warnings()
     yield
-    set_fault_plan(None)
-    set_default_checkpoint(None)
-    set_eval_cache(None)
     par.reset_degradation_warnings()
 
 
-def make_pipeline(splits=(32, 64, 128)):
+def make_pipeline(splits=(32, 64, 128), run=None):
     cd = gemm_cd(128, 128, 128)
     sp = ScheduleSpace(cd)
     sp.split("M", list(splits))
     sp.split("N", list(splits))
     sp.split("K", list(splits))
-    return CandidatePipeline(cd, sp)
+    return CandidatePipeline(cd, sp, run=run)
 
 
 def eval_signature(pairs):
@@ -103,8 +97,9 @@ class TestFaultPlan:
             FaultPlan.parse(spec)
 
     def test_noop_plan_not_installed(self):
-        assert set_fault_plan(FaultPlan(seed=9)) is None
-        assert set_fault_plan(FaultPlan(seed=9, crash=0.1)) is not None
+        assert RunConfig(faults=FaultPlan(seed=9)).faults is None
+        plan = FaultPlan(seed=9, crash=0.1)
+        assert RunConfig(faults=plan).faults is plan
 
     def test_evaluator_raises_planned_sites(self):
         pipeline = make_pipeline((64, 128))
@@ -133,17 +128,16 @@ class TestSupervisedSerial:
         pipeline = make_pipeline()
         cands = list(pipeline.candidates())
         clean = evaluate_batch(
-            cands, AnalyticEvaluator(config=pipeline.config), workers=1
+            cands, AnalyticEvaluator(config=pipeline.config), run=SERIAL
         )
 
         # seed chosen so the plan fires on several candidates but never
         # three attempts in a row (which would be a quarantine)
-        set_fault_plan(FaultPlan(seed=2, exception=0.3))
         metrics = EngineMetrics()
         faulty = evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=1,
+            run=RunConfig(faults=FaultPlan(seed=2, exception=0.3)),
             metrics=metrics,
         )
         assert metrics.retries > 0  # the plan really fired
@@ -154,17 +148,15 @@ class TestSupervisedSerial:
         pipeline = make_pipeline()
         cands = list(pipeline.candidates())
         clean = evaluate_batch(
-            cands, AnalyticEvaluator(config=pipeline.config), workers=1
+            cands, AnalyticEvaluator(config=pipeline.config), run=SERIAL
         )
         victim = 3
-        set_fault_plan(
-            FaultPlan(poison=candidate_digest(cands[victim])[:12])
-        )
+        plan = FaultPlan(poison=candidate_digest(cands[victim])[:12])
         metrics = EngineMetrics()
         faulty = evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=1,
+            run=RunConfig(faults=plan),
             metrics=metrics,
         )
         assert metrics.quarantined == 1
@@ -180,12 +172,12 @@ class TestSupervisedSerial:
     def test_quarantined_never_reaches_memo(self):
         pipeline = make_pipeline((64, 128))
         cands = list(pipeline.candidates())
-        set_fault_plan(FaultPlan(poison=candidate_digest(cands[0])[:12]))
+        plan = FaultPlan(poison=candidate_digest(cands[0])[:12])
         store = {}
         memo = MemoizingEvaluator(
             AnalyticEvaluator(config=pipeline.config), store=store, disk=None
         )
-        out = evaluate_batch(cands, memo, workers=1)
+        out = evaluate_batch(cands, memo, run=RunConfig(faults=plan))
         assert out[0].failed
         assert len(store) == len(cands) - 1
 
@@ -198,12 +190,12 @@ class TestSupervisedSerial:
     def test_events_recorded(self):
         pipeline = make_pipeline((64, 128))
         cands = list(pipeline.candidates())
-        set_fault_plan(FaultPlan(poison=candidate_digest(cands[0])[:12]))
+        plan = FaultPlan(poison=candidate_digest(cands[0])[:12])
         metrics = EngineMetrics()
         evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=1,
+            run=RunConfig(faults=plan),
             metrics=metrics,
         )
         counts = metrics.event_counts()
@@ -217,14 +209,13 @@ class TestSupervisedParallel:
         pipeline = make_pipeline()
         cands = list(pipeline.candidates())
         clean = evaluate_batch(
-            cands, AnalyticEvaluator(config=pipeline.config), workers=1
+            cands, AnalyticEvaluator(config=pipeline.config), run=SERIAL
         )
-        set_fault_plan(FaultPlan(seed=5, crash=0.08))
         metrics = EngineMetrics()
         faulty = evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=2,
+            run=RunConfig(workers=2, faults=FaultPlan(seed=5, crash=0.08)),
             metrics=metrics,
         )
         # the pool really broke and was rebuilt, and no candidate was
@@ -238,14 +229,12 @@ class TestSupervisedParallel:
         pipeline = make_pipeline()
         cands = list(pipeline.candidates())
         victim = 5
-        set_fault_plan(
-            FaultPlan(poison=candidate_digest(cands[victim])[:12])
-        )
+        plan = FaultPlan(poison=candidate_digest(cands[victim])[:12])
         metrics = EngineMetrics()
         out = evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=2,
+            run=RunConfig(workers=2, faults=plan),
             metrics=metrics,
         )
         assert metrics.quarantined == 1
@@ -266,7 +255,7 @@ class TestSupervisedParallel:
             out = evaluate_batch(
                 cands,
                 AnalyticEvaluator(config=pipeline.config),
-                workers=2,
+                run=RunConfig(workers=2),
                 metrics=metrics,
             )
         assert metrics.degraded_batches == 1
@@ -278,7 +267,7 @@ class TestSupervisedParallel:
             evaluate_batch(
                 cands,
                 AnalyticEvaluator(config=pipeline.config),
-                workers=2,
+                run=RunConfig(workers=2),
                 metrics=metrics,
             )
         assert metrics.degraded_batches == 2
@@ -290,20 +279,19 @@ class TestAcceptanceScenario:
 
     def test_chaos_sweep_matches_fault_free(self, tmp_path):
         # fault-free exhaustive reference
-        ref_pipe = make_pipeline()
+        ref_pipe = make_pipeline(run=RunConfig(prune=False))
         reference = search_candidates(
-            ref_pipe, AnalyticEvaluator(config=ref_pipe.config), prune=False
+            ref_pipe, AnalyticEvaluator(config=ref_pipe.config)
         )
         ref_best = min(
             reference, key=lambda p: (p[1].cycles,)
         )
 
         # pick a mid-ranking candidate the pruned sweep will evaluate
-        pruned_pipe = make_pipeline()
+        pruned_pipe = make_pipeline(run=RunConfig())
         pruned = search_candidates(
             pruned_pipe,
             AnalyticEvaluator(config=pruned_pipe.config),
-            prune=True,
             batch_size=8,
         )
         by_cycles = sorted(pruned, key=lambda p: p[1].cycles)
@@ -318,14 +306,12 @@ class TestAcceptanceScenario:
         store = PersistentEvalStore(cache_path)
         assert len(store) == 0
 
-        set_fault_plan(FaultPlan(seed=13, crash=0.05, poison=poison))
-        chaos_pipe = make_pipeline()
+        plan = FaultPlan(seed=13, crash=0.05, poison=poison)
+        chaos_pipe = make_pipeline(run=RunConfig(workers=2, faults=plan))
         memo = MemoizingEvaluator(
             AnalyticEvaluator(config=chaos_pipe.config), store={}, disk=store
         )
-        chaos = search_candidates(
-            chaos_pipe, memo, prune=True, batch_size=8, workers=2
-        )
+        chaos = search_candidates(chaos_pipe, memo, batch_size=8)
 
         # the sweep completed, quarantining exactly the poison candidate
         failed = [(c, e) for c, e in chaos if e.failed]
@@ -341,7 +327,6 @@ class TestAcceptanceScenario:
         assert chaos_best[1].cycles == ref_best[1].cycles
 
         # the store only holds healthy entries and flushes cleanly
-        set_fault_plan(None)
         store.flush()
         reloaded = PersistentEvalStore(cache_path)
         assert len(reloaded) == len(store)

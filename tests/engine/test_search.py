@@ -12,23 +12,23 @@ from repro.dsl import ScheduleSpace
 from repro.engine import (
     AnalyticEvaluator,
     CandidatePipeline,
-    default_prune,
-    resolve_prune,
+    RunConfig,
     search_candidates,
-    set_default_prune,
 )
 from repro.machine.config import default_config
 
 from ..scheduler.test_lower import gemm_cd
 
+NO_PRUNE = RunConfig.from_env(prune=False)
 
-def make_pipeline(m, n, k, splits, config=None):
+
+def make_pipeline(m, n, k, splits, config=None, run=None):
     cd = gemm_cd(m, n, k)
     sp = ScheduleSpace(cd)
     sp.split("M", splits)
     sp.split("N", splits)
     sp.split("K", splits)
-    return CandidatePipeline(cd, sp, config=config)
+    return CandidatePipeline(cd, sp, config=config, run=run)
 
 
 SPACES = [
@@ -46,15 +46,15 @@ class TestIdenticalResults:
     @pytest.mark.parametrize("m,n,k,splits", SPACES)
     @pytest.mark.parametrize("top_k", [1, 3])
     def test_winner_and_topk_match_exhaustive(self, m, n, k, splits, top_k):
-        exhaustive = make_pipeline(m, n, k, splits)
+        exhaustive = make_pipeline(m, n, k, splits, run=NO_PRUNE)
         full = search_candidates(
             exhaustive, AnalyticEvaluator(config=exhaustive.config),
-            top_k=top_k, prune=False,
+            top_k=top_k,
         )
         pruned_pipe = make_pipeline(m, n, k, splits)
         pruned = search_candidates(
             pruned_pipe, AnalyticEvaluator(config=pruned_pipe.config),
-            top_k=top_k, prune=True, batch_size=4,
+            top_k=top_k, batch_size=4,
         )
         assert pruned_pipe.metrics.bound_pruned > 0  # it really pruned
 
@@ -73,14 +73,13 @@ class TestIdenticalResults:
         cfg = default_config().with_overrides(
             dma_latency_cycles=800, dram_peak_bw=68.0e9
         )
-        full_pipe = make_pipeline(128, 128, 128, [32, 64, 128], config=cfg)
-        full = search_candidates(
-            full_pipe, AnalyticEvaluator(config=cfg), prune=False
+        full_pipe = make_pipeline(
+            128, 128, 128, [32, 64, 128], config=cfg, run=NO_PRUNE
         )
+        full = search_candidates(full_pipe, AnalyticEvaluator(config=cfg))
         pruned_pipe = make_pipeline(128, 128, 128, [32, 64, 128], config=cfg)
         pruned = search_candidates(
-            pruned_pipe, AnalyticEvaluator(config=cfg), prune=True,
-            batch_size=4,
+            pruned_pipe, AnalyticEvaluator(config=cfg), batch_size=4,
         )
         best_full = min(full, key=lambda p: p[1].cycles)
         best_pruned = min(pruned, key=lambda p: p[1].cycles)
@@ -97,8 +96,8 @@ class TestIdenticalResults:
         sp.split("M", [16, 32, 48, 64, 128])
         sp.split("N", [16, 32, 48, 64, 128])
         sp.split("K", [16, 32, 48, 64, 128])
-        off = tune_with_model(cd, sp, run_best=False, prune=False)
-        on = tune_with_model(cd, sp, run_best=False, prune=True)
+        off = tune_with_model(cd, sp, run_best=False, run=NO_PRUNE)
+        on = tune_with_model(cd, sp, run_best=False, run=RunConfig.from_env())
         assert (
             off.best.candidate.strategy.decisions
             == on.best.candidate.strategy.decisions
@@ -111,8 +110,7 @@ class TestDeterminism:
     def test_results_are_in_enumeration_order(self):
         pipe = make_pipeline(128, 128, 128, [32, 64, 128])
         pairs = search_candidates(
-            pipe, AnalyticEvaluator(config=pipe.config), prune=True,
-            batch_size=4,
+            pipe, AnalyticEvaluator(config=pipe.config), batch_size=4,
         )
         reference = make_pipeline(128, 128, 128, [32, 64, 128])
         enum_order = {
@@ -123,15 +121,19 @@ class TestDeterminism:
         assert positions == sorted(positions)
 
     def test_evaluated_set_is_worker_invariant(self):
-        serial_pipe = make_pipeline(96, 256, 64, [16, 32, 64])
+        serial_pipe = make_pipeline(
+            96, 256, 64, [16, 32, 64], run=RunConfig(workers=1)
+        )
         serial = search_candidates(
             serial_pipe, AnalyticEvaluator(config=serial_pipe.config),
-            prune=True, workers=1, batch_size=4,
+            batch_size=4,
         )
-        parallel_pipe = make_pipeline(96, 256, 64, [16, 32, 64])
+        parallel_pipe = make_pipeline(
+            96, 256, 64, [16, 32, 64], run=RunConfig(workers=3)
+        )
         parallel = search_candidates(
             parallel_pipe, AnalyticEvaluator(config=parallel_pipe.config),
-            prune=True, workers=3, batch_size=4,
+            batch_size=4,
         )
         assert strategies_of(serial) == strategies_of(parallel)
         assert [e.cycles for _, e in serial] == [e.cycles for _, e in parallel]
@@ -145,8 +147,7 @@ class TestAccounting:
     def test_counters_partition_the_declared_space(self):
         pipe = make_pipeline(128, 128, 128, [32, 64, 128])
         pairs = search_candidates(
-            pipe, AnalyticEvaluator(config=pipe.config), prune=True,
-            batch_size=4,
+            pipe, AnalyticEvaluator(config=pipe.config), batch_size=4,
         )
         # every declared strategy is exactly one of: scored, illegal
         # (incl. SPM-prefiltered), or bound-pruned.
@@ -165,31 +166,24 @@ class TestAccounting:
     def test_limit_forces_exhaustive_path(self):
         pipe = make_pipeline(128, 128, 128, [32, 64])
         pairs = search_candidates(
-            pipe, AnalyticEvaluator(config=pipe.config), prune=True, limit=3
+            pipe, AnalyticEvaluator(config=pipe.config), limit=3
         )
         assert len(pairs) == 3
         assert pipe.metrics.bound_pruned == 0  # limit disables pruning
 
 
 class TestGlobalDefault:
-    def test_set_default_prune_round_trips(self):
-        before = default_prune()
-        try:
-            set_default_prune(False)
-            assert resolve_prune(None) is False
-            assert resolve_prune(True) is True
-            set_default_prune(True)
-            assert resolve_prune(None) is True
-            assert resolve_prune(False) is False
-        finally:
-            set_default_prune(before)
+    """Pruning is a field of the run, not process state."""
+
+    def test_pipeline_run_prunes_by_default(self):
+        pipe = make_pipeline(128, 128, 128, [32, 64, 128])
+        assert pipe.run.prune is True
+        search_candidates(
+            pipe, AnalyticEvaluator(config=pipe.config), batch_size=4
+        )
+        assert pipe.metrics.bound_pruned > 0
 
     def test_search_honours_global_off(self):
-        before = default_prune()
-        try:
-            set_default_prune(False)
-            pipe = make_pipeline(128, 128, 128, [32, 64])
-            search_candidates(pipe, AnalyticEvaluator(config=pipe.config))
-            assert pipe.metrics.bound_pruned == 0
-        finally:
-            set_default_prune(before)
+        off_pipe = make_pipeline(128, 128, 128, [32, 64], run=NO_PRUNE)
+        search_candidates(off_pipe, AnalyticEvaluator(config=off_pipe.config))
+        assert off_pipe.metrics.bound_pruned == 0

@@ -5,63 +5,59 @@ import pytest
 
 from repro.engine import (
     CandidatePipeline,
+    RunConfig,
     SimulatorEvaluator,
     ValidatingEvaluator,
     compare_tensors,
-    default_validate,
     reference_outputs,
-    resolve_validate,
-    set_default_validate,
     synthetic_feeds,
     tolerance_for,
     validate_candidate,
     validation_digest,
 )
 from repro.errors import ValidationError
-from repro.faults import FaultPlan, compute_digest, set_fault_plan
-from repro.machine.sanitizer import set_sanitize
+from repro.faults import FaultPlan, compute_digest
 from repro.ops.conv_common import ConvParams
 from repro.ops import conv_implicit, conv_winograd, conv2d_reference
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
 
-
-@pytest.fixture(autouse=True)
-def _clean_process_state():
-    yield
-    set_default_validate(None)
-    set_sanitize(None)
-    set_fault_plan(None)
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
-def first_candidate(compute, space):
-    pipeline = CandidatePipeline(compute, space)
+def first_candidate(compute, space, run=None):
+    pipeline = CandidatePipeline(compute, space, run=run)
     return pipeline, next(pipeline.candidates(limit=1))
+
+
+def poison_plan(compute):
+    return FaultPlan(poison=compute_digest(compute)[:12])
 
 
 class TestModes:
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        set_default_validate(None)
-        assert default_validate() == "off"
-        assert resolve_validate(None) == "off"
+        assert RunConfig.from_env().validate == "off"
+        assert RunConfig().validate == "off"
 
     def test_sanitize_forces_all(self, monkeypatch):
-        set_default_validate(None)
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert default_validate() == "all"
+        assert RunConfig.from_env().validate == "all"
+        # --sanitize without --validate means the same
+        monkeypatch.delenv("REPRO_SANITIZE")
+        assert RunConfig.from_env(sanitize=True).validate == "all"
 
     def test_explicit_mode_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        set_default_validate("winner")
-        assert default_validate() == "winner"
-        assert resolve_validate("off") == "off"
+        assert RunConfig.from_env(validate="winner").validate == "winner"
+        assert RunConfig(validate="off").validate == "off"
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            set_default_validate("sometimes")
+            RunConfig(validate="sometimes")
         with pytest.raises(ValueError):
-            resolve_validate("maybe")
+            RunConfig.from_env(validate="maybe")
 
 
 class TestReference:
@@ -117,7 +113,7 @@ class TestValidateCandidate:
         compute = gemm_compute(48, 48, 48)
         space = gemm_space(compute, quick=True)
         _, cand = first_candidate(compute, space)
-        report = validate_candidate(cand)
+        report = validate_candidate(cand, sanitize=SANITIZE)
         assert report.op == compute.name
         assert report.max_abs_err <= report.atol + report.rtol
         assert report.cycles > 0
@@ -127,7 +123,7 @@ class TestValidateCandidate:
         compute = conv_winograd.make_compute(params)
         space = conv_winograd.make_space(params, quick=True)
         _, cand = first_candidate(compute, space)
-        report = validate_candidate(cand)
+        report = validate_candidate(cand, sanitize=SANITIZE)
         assert report.tensors
 
     def test_poisoned_kernel_fails(self):
@@ -136,9 +132,10 @@ class TestValidateCandidate:
         compute = gemm_compute(48, 48, 48)
         space = gemm_space(compute, quick=True)
         _, cand = first_candidate(compute, space)
-        set_fault_plan(FaultPlan(poison=compute_digest(compute)[:12]))
         with pytest.raises(ValidationError):
-            validate_candidate(cand)
+            validate_candidate(
+                cand, faults=poison_plan(compute), sanitize=SANITIZE
+            )
 
     def test_pipeline_validate_counts_failures(self):
         compute = gemm_compute(48, 48, 48)
@@ -147,11 +144,13 @@ class TestValidateCandidate:
         pipeline.validate(cand)
         assert pipeline.metrics.validation.count == 1
         assert pipeline.metrics.validation_failures == 0
-        set_fault_plan(FaultPlan(poison=compute_digest(compute)[:12]))
+        poisoned, cand = first_candidate(
+            compute, space, RunConfig(faults=poison_plan(compute))
+        )
         with pytest.raises(ValidationError):
-            pipeline.validate(cand)
-        assert pipeline.metrics.validation_failures == 1
-        assert pipeline.metrics.event_counts().get("validation") == 1
+            poisoned.validate(cand)
+        assert poisoned.metrics.validation_failures == 1
+        assert poisoned.metrics.event_counts().get("validation") == 1
 
 
 class TestValidatingEvaluator:
@@ -159,7 +158,7 @@ class TestValidatingEvaluator:
         compute = gemm_compute(48, 48, 48)
         space = gemm_space(compute, quick=True)
         _, cand = first_candidate(compute, space)
-        inner = SimulatorEvaluator(synthetic_feeds(compute))
+        inner = SimulatorEvaluator(synthetic_feeds(compute), sanitize=SANITIZE)
         ev = ValidatingEvaluator(inner)
         assert ev.kind == inner.kind + "+validate"
         assert ev.params_key()[0] == inner.params_key()
@@ -172,9 +171,8 @@ class TestValidatingEvaluator:
         compute = gemm_compute(48, 48, 48)
         space = gemm_space(compute, quick=True)
         _, cand = first_candidate(compute, space)
-        inner = SimulatorEvaluator(synthetic_feeds(compute))
-        ev = ValidatingEvaluator(inner)
-        set_fault_plan(FaultPlan(poison=compute_digest(compute)[:12]))
+        inner = SimulatorEvaluator(synthetic_feeds(compute), sanitize=SANITIZE)
+        ev = ValidatingEvaluator(inner, faults=poison_plan(compute))
         result = ev.evaluate(cand)
         assert result.failed
         assert result.site == "validation"

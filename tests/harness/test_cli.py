@@ -38,36 +38,34 @@ class TestTables:
             cli.main(["fig99"])
 
     def test_dump_ir_prints_passes_to_stderr(self, capsys):
-        from repro.passes import set_dump_ir
-
-        try:
-            rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir"])
-            assert rc == 0
-            captured = capsys.readouterr()
-            assert "IR after pass" in captured.err
-            assert "IR after pass" not in captured.out
-        finally:
-            set_dump_ir(None)
+        rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "IR after pass" in captured.err
+        assert "IR after pass" not in captured.out
 
     def test_dump_ir_filters_to_named_pass(self, capsys):
-        from repro.passes import set_dump_ir
+        rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir", "prefetch"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "IR after pass 'prefetch'" in err
+        assert "build-loop-nest" not in err
 
-        try:
-            rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir", "prefetch"])
-            assert rc == 0
-            err = capsys.readouterr().err
-            assert "IR after pass 'prefetch'" in err
-            assert "build-loop-nest" not in err
-        finally:
-            set_dump_ir(None)
+    def test_workers_flag_reaches_the_search(self, capsys, monkeypatch):
+        from repro.autotuner import model_tuner
 
-    def test_workers_flag_sets_process_default(self, capsys):
-        from repro.engine import default_workers, set_default_workers
+        seen = []
+        search = model_tuner.search_candidates
 
-        before = default_workers()
-        try:
-            rc = cli.main(["fig10", "--scale", "smoke", "--workers", "2"])
-            assert rc == 0
-            assert default_workers() == 2
-        finally:
-            set_default_workers(before)
+        def spy(pipeline, evaluator, **kw):
+            seen.append(kw.get("run") or pipeline.run)
+            return search(pipeline, evaluator, **kw)
+
+        monkeypatch.setattr(model_tuner, "search_candidates", spy)
+        rc = cli.main(["fig10", "--scale", "smoke", "--workers", "2"])
+        assert rc == 0
+        assert seen and all(run.workers == 2 for run in seen)
+        # a later run without the flag is serial again
+        seen.clear()
+        assert cli.main(["fig10", "--scale", "smoke"]) == 0
+        assert seen and all(run.workers == 1 for run in seen)

@@ -7,12 +7,16 @@ import pytest
 from repro.codegen import compile_candidate
 from repro.codegen.executor import CompiledKernel
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.harness.runner import run_conv_implicit, run_gemm
 from repro.machine.config import default_config
 from repro.ops.conv_common import ConvParams
 from repro.ops.direct import conv2d_reference
 from repro.ops.gemm import make_compute
 from repro.scheduler import Candidate, lower_strategy
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def gemm_run(m, n, k, tm=None, tn=None, tk=None, **overrides):
@@ -24,7 +28,8 @@ def gemm_run(m, n, k, tm=None, tn=None, tk=None, **overrides):
     sp.vectorize()
     strat = sp.strategy(**overrides)
     ck = compile_candidate(
-        Candidate(strat, lower_strategy(compute, strat), compute)
+        Candidate(strat, lower_strategy(compute, strat), compute),
+        sanitize=SANITIZE,
     )
     rng = np.random.default_rng(0)
     a = rng.standard_normal((m, k)).astype(np.float32)

@@ -7,6 +7,7 @@ import pytest
 from repro.autotuner import tune_blackbox, tune_with_model
 from repro.codegen import compile_candidate, emit_c
 from repro.codegen.executor import CompiledKernel
+from repro.engine import RunConfig
 from repro.harness.runner import (
     run_conv_explicit,
     run_conv_implicit,
@@ -18,6 +19,9 @@ from repro.ops.conv_common import ConvParams
 from repro.ops.direct import conv2d_reference
 from repro.ops.gemm import make_compute, make_space
 
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
+
 
 class TestGemmEndToEnd:
     def test_tune_compile_run_verify(self):
@@ -25,7 +29,9 @@ class TestGemmEndToEnd:
         compute = make_compute(m, n, k)
         space = make_space(compute, quick=True)
         result = tune_with_model(compute, space)
-        ck = CompiledKernel(result.best.candidate.kernel, compute)
+        ck = CompiledKernel(
+            result.best.candidate.kernel, compute, sanitize=SANITIZE
+        )
         rng = np.random.default_rng(0)
         a = rng.standard_normal((m, k)).astype(np.float32)
         b = rng.standard_normal((k, n)).astype(np.float32)

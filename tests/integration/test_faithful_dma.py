@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.ir import DmaCgNode, find_all
 from repro.machine.cluster import CpeCluster, split_tiles
 from repro.machine.dma import MEM_TO_SPM, cg_tile_descriptors
@@ -15,6 +16,9 @@ from repro.optimizer.dma_inference import flatten_access, infer_dma, storage_sha
 from repro.scheduler.lower import lower_strategy
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def build_kernel(M=64, N=48, K=32, tm=32, tn=24, tk=16):
@@ -36,7 +40,7 @@ class TestFaithfulDma:
         shapes = storage_shapes(kernel, cd)
         rng = np.random.default_rng(0)
         mem = MainMemory(1 << 22)
-        cluster = CpeCluster(mem)
+        cluster = CpeCluster(mem, sanitize=SANITIZE)
         data = {}
         for name, shape in shapes.items():
             buf = mem.alloc(name, shape)

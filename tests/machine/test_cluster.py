@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.engine import RunConfig
 from repro.errors import SpmCapacityError
 from repro.machine.cluster import CpeCluster, split_tiles
 from repro.machine.config import default_config
 from repro.machine.cpe import Cpe
 from repro.machine.dma import MEM_TO_SPM, SPM_TO_MEM, cg_tile_descriptors
 from repro.machine.memory import MainMemory
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 class TestCpe:
@@ -58,7 +62,7 @@ class TestClusterDma:
     def test_dma_in_distributes_tiles(self):
         """A 16x16 matrix DMA'd 8x8: CPE (r,c) receives its 2x2 block."""
         mem = MainMemory(1 << 20)
-        cluster = CpeCluster(mem)
+        cluster = CpeCluster(mem, sanitize=SANITIZE)
         buf = mem.alloc("a", (16, 16))
         data = np.arange(256, dtype=np.float32).reshape(16, 16)
         mem.write(buf, data)
@@ -75,7 +79,7 @@ class TestClusterDma:
 
     def test_dma_roundtrip_through_spm(self):
         mem = MainMemory(1 << 20)
-        cluster = CpeCluster(mem)
+        cluster = CpeCluster(mem, sanitize=SANITIZE)
         src = mem.alloc("src", (16, 16))
         dst = mem.alloc("dst", (16, 16))
         data = np.random.default_rng(0).random((16, 16)).astype(np.float32)
@@ -116,7 +120,7 @@ class TestDistributedGemm:
         rng = np.random.default_rng(42)
         a = rng.standard_normal((m, k)).astype(np.float32)
         b = rng.standard_normal((k, n)).astype(np.float32)
-        cluster = CpeCluster()
+        cluster = CpeCluster(sanitize=SANITIZE)
         c = cluster.distributed_gemm(
             split_tiles(a, 8, 8), split_tiles(b, 8, 8), m, n, k
         )
@@ -128,7 +132,7 @@ class TestDistributedGemm:
         m, n, k = 13, 21, 17
         a = rng.standard_normal((m, k)).astype(np.float32)
         b = rng.standard_normal((k, n)).astype(np.float32)
-        cluster = CpeCluster()
+        cluster = CpeCluster(sanitize=SANITIZE)
         c = cluster.distributed_gemm(
             split_tiles(a, 8, 8), split_tiles(b, 8, 8), m, n, k
         )
@@ -138,7 +142,7 @@ class TestDistributedGemm:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((16, 16)).astype(np.float32)
         b = rng.standard_normal((16, 16)).astype(np.float32)
-        cluster = CpeCluster()
+        cluster = CpeCluster(sanitize=SANITIZE)
         cluster.distributed_gemm(split_tiles(a, 8, 8), split_tiles(b, 8, 8), 16, 16, 16)
         # broadcast() is functional-only; pattern accounting is exercised
         # through burst_cycles in the timing path -- here we just confirm

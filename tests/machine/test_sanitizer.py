@@ -8,18 +8,8 @@ import pytest
 from repro.errors import RegCommError, SanitizerError
 from repro.machine.config import default_config
 from repro.machine.regcomm import CommPattern, RegCommMesh
-from repro.machine.sanitizer import (
-    RegCommChecker,
-    resolve_sanitize,
-    sanitize_default,
-    set_sanitize,
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_knob():
-    yield
-    set_sanitize(None)
+from repro.engine import RunConfig
+from repro.machine.sanitizer import RegCommChecker
 
 
 def full_grid(value_fn):
@@ -36,30 +26,26 @@ def full_grid(value_fn):
 class TestKnobs:
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        set_sanitize(None)
-        assert sanitize_default() is False
-        assert resolve_sanitize(None) is False
+        assert RunConfig.from_env().sanitize is False
+        assert RunConfig().sanitize is False
 
     def test_env_enables(self, monkeypatch):
-        set_sanitize(None)
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_default() is True
+        assert RunConfig.from_env().sanitize is True
         monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert sanitize_default() is False
+        assert RunConfig.from_env().sanitize is False
 
     def test_set_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        set_sanitize(False)
-        assert sanitize_default() is False
-        set_sanitize(True)
-        assert sanitize_default() is True
+        assert RunConfig.from_env(sanitize=False).sanitize is False
+        monkeypatch.delenv("REPRO_SANITIZE")
+        assert RunConfig.from_env(sanitize=True).sanitize is True
 
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        set_sanitize(False)
-        assert resolve_sanitize(True) is True
-        set_sanitize(True)
-        assert resolve_sanitize(False) is False
+        """An explicit config never consults the environment."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert RunConfig().sanitize is False
+        assert RunConfig(sanitize=True).sanitize is True
 
 
 class TestRegCommChecker:

@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 
+from repro.engine import RunConfig
 from repro.machine.trace import Trace
 from repro.machine.trace_export import render_timeline, to_chrome_trace
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def sample_trace():
@@ -81,7 +85,8 @@ class TestTimeline:
         sp.split("M", [64]); sp.split("N", [64]); sp.split("K", [32])
         strat = sp.strategy()
         ck = compile_candidate(
-            Candidate(strat, lower_strategy(compute, strat), compute)
+            Candidate(strat, lower_strategy(compute, strat), compute),
+            sanitize=SANITIZE,
         )
         rng = np.random.default_rng(0)
         state = _ExecState(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import IrError
 from repro.ir import ForNode, walk
 from repro.optimizer.dma_inference import infer_dma
@@ -15,6 +16,9 @@ from repro.optimizer.prefetch import (
 from repro.scheduler import LoweringOptions, lower_strategy
 
 from ..scheduler.test_lower import gemm_cd
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 
 def optimized_kernel(double_buffer=True, tm=64, tn=64, tk=32):
@@ -67,7 +71,8 @@ class TestApplyPrefetch:
         sp.split("M", [256]); sp.split("N", [128]); sp.split("K", [512])
         strat = sp.strategy()
         ck = compile_candidate(
-            Candidate(strat, lower_strategy(compute, strat), compute)
+            Candidate(strat, lower_strategy(compute, strat), compute),
+            sanitize=SANITIZE,
         )
         for loop in pipelined_loops(ck.kernel):
             seen = set()

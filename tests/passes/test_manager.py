@@ -11,11 +11,11 @@ from repro.errors import IllegalCandidateError, PassVerificationError
 from repro.ir import count_nodes
 from repro.passes import (
     FunctionPass,
+    IRDump,
     PassContext,
     PassManager,
     lowering_passes,
     optimize_passes,
-    set_dump_ir,
 )
 
 from ..scheduler.test_lower import gemm_cd
@@ -170,16 +170,13 @@ class TestFailureSemantics:
 
 
 class TestDumpIr:
-    def teardown_method(self):
-        set_dump_ir(None)
-
     def test_dump_all_prints_every_pass(self):
         cd, strategy = gemm_setup()
         buf = io.StringIO()
-        set_dump_ir("all", stream=buf)
-        PassManager([*lowering_passes(), *optimize_passes()]).run(
-            PassContext(compute=cd, strategy=strategy)
-        )
+        PassManager(
+            [*lowering_passes(), *optimize_passes()],
+            dump=IRDump("all", stream=buf),
+        ).run(PassContext(compute=cd, strategy=strategy))
         text = buf.getvalue()
         assert "IR after pass 'build-loop-nest'" in text
         assert "IR before pass 'prefetch'" in text
@@ -188,10 +185,10 @@ class TestDumpIr:
     def test_dump_filters_by_pass_name(self):
         cd, strategy = gemm_setup()
         buf = io.StringIO()
-        set_dump_ir("prefetch", stream=buf)
-        PassManager([*lowering_passes(), *optimize_passes()]).run(
-            PassContext(compute=cd, strategy=strategy)
-        )
+        PassManager(
+            [*lowering_passes(), *optimize_passes()],
+            dump=IRDump("prefetch", stream=buf),
+        ).run(PassContext(compute=cd, strategy=strategy))
         text = buf.getvalue()
         assert "IR after pass 'prefetch'" in text
         assert "build-loop-nest" not in text
@@ -199,8 +196,9 @@ class TestDumpIr:
     def test_dump_limit_caps_runs(self):
         cd, strategy = gemm_setup()
         buf = io.StringIO()
-        set_dump_ir("all", limit=1, stream=buf)
-        manager = PassManager(lowering_passes())
+        manager = PassManager(
+            lowering_passes(), dump=IRDump("all", limit=1, stream=buf)
+        )
         manager.run(PassContext(compute=cd, strategy=strategy))
         first = buf.getvalue()
         manager.run(PassContext(compute=cd, strategy=strategy))

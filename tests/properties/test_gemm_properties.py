@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from repro.codegen import compile_candidate
 from repro.dsl import ScheduleSpace
+from repro.engine import RunConfig
 from repro.errors import IllegalCandidateError
 from repro.ops.gemm import make_compute
 from repro.scheduler import Candidate, lower_strategy
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 dims = st.integers(min_value=5, max_value=96)
 tiles = st.integers(min_value=4, max_value=64)
@@ -49,7 +53,9 @@ def test_any_legal_schedule_is_exact(case):
         kernel = lower_strategy(compute, strat)
     except IllegalCandidateError:
         return  # pruned: nothing to check
-    ck = compile_candidate(Candidate(strat, kernel, compute))
+    ck = compile_candidate(
+        Candidate(strat, kernel, compute), sanitize=SANITIZE
+    )
     rng = np.random.default_rng(hash(case) % (2**32))
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)

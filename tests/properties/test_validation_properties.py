@@ -7,11 +7,14 @@ import functools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CandidatePipeline, validate_candidate
+from repro.engine import CandidatePipeline, RunConfig, validate_candidate
 from repro.ops import conv_explicit, conv_implicit, conv_winograd
 from repro.ops.conv_common import ConvParams
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
+
+# the sanitize CI job (REPRO_SANITIZE=1) runs these under the checker
+SANITIZE = RunConfig.from_env().sanitize
 
 MAX_CANDIDATES = 8
 
@@ -56,7 +59,7 @@ def candidates_for(kind: str):
 def test_in_space_strategies_match_reference(kind, index, seed):
     pool = candidates_for(kind)
     candidate = pool[index % len(pool)]
-    report = validate_candidate(candidate, seed=seed)
+    report = validate_candidate(candidate, seed=seed, sanitize=SANITIZE)
     assert report.max_abs_err <= report.atol + report.rtol
     assert report.cycles > 0
     assert report.tensors

@@ -6,7 +6,8 @@ result) -- the caller never sees garbage."""
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, compute_digest, set_fault_plan
+from repro.engine import RunConfig
+from repro.faults import FaultPlan, compute_digest
 from repro.machine.config import default_config
 from repro.machine.trace import SimReport
 from repro.ops import conv2d_reference
@@ -23,10 +24,10 @@ from repro.dsl.schedule import ScheduleStrategy
 from repro.ops.gemm import make_compute as gemm_compute
 
 
-@pytest.fixture(autouse=True)
-def _no_fault_plan():
-    yield
-    set_fault_plan(None)
+#: every execution of the 64x32x48 GEMM silently perturbs its outputs
+POISON = FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
+UNVALIDATED = RunConfig(validate="off")
+POISONED = RunConfig(validate="all", faults=POISON)
 
 
 def gemm_feeds(m=64, n=32, k=48, seed=3):
@@ -50,20 +51,16 @@ class TestCorruptedKernelEndToEnd:
 
         # session 1: warm the cache with validation off -- no digest
         # is recorded, so the entry is untrusted on the next hit.
-        warm = AtopLibrary(quick=True, cache_path=path, validate="off")
+        warm = AtopLibrary(quick=True, cache_path=path, run=UNVALIDATED)
         warm.gemm(a, b)
         assert warm.stats.tuned == 1
         key = warm.gemm_key(64, 32, 48)
         assert key in warm.cache
 
-        # the kernel goes bad: every execution of this compute now
-        # silently perturbs its outputs (repro.faults poison).
-        set_fault_plan(
-            FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
-        )
-
-        # session 2: validated library over the same warm cache.
-        lib = AtopLibrary(quick=True, cache_path=path, validate="all")
+        # session 2: the kernel has gone bad -- every execution of this
+        # compute now silently perturbs its outputs (repro.faults
+        # poison) -- and a validated library runs over the warm cache.
+        lib = AtopLibrary(quick=True, cache_path=path, run=POISONED)
         assert key in lib.cache
         with pytest.warns(KernelFallbackWarning):
             run = lib.gemm(a, b)
@@ -90,16 +87,16 @@ class TestCorruptedKernelEndToEnd:
         certified (digest recorded), so later hits validate for free."""
         a, b = gemm_feeds()
         path = tmp_path / "kernels.json"
-        warm = AtopLibrary(quick=True, cache_path=path, validate="off")
+        warm = AtopLibrary(quick=True, cache_path=path, run=UNVALIDATED)
         warm.gemm(a, b)
-        set_fault_plan(
-            FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
-        )
-        lib = AtopLibrary(quick=True, cache_path=path, validate="all")
+        poisoned = AtopLibrary(quick=True, cache_path=path, run=POISONED)
         with pytest.warns(KernelFallbackWarning):
-            lib.gemm(a, b)
-        set_fault_plan(None)
+            poisoned.gemm(a, b)
 
+        # the next session runs without the poison over the same file
+        lib = AtopLibrary(
+            quick=True, cache_path=path, run=RunConfig(validate="all")
+        )
         run = lib.gemm(a, b)  # key quarantined -> re-tunes cleanly
         assert run.fallback_reason is None
         assert lib.stats.tuned == 1
@@ -114,22 +111,15 @@ class TestCorruptedKernelEndToEnd:
         assert again.fallback_reason is None
         assert lib.stats.validations == validations
 
-    def test_one_warning_per_key(self, tmp_path, monkeypatch):
+    def test_one_warning_per_key(self, tmp_path):
         """Repeated failures of one kernel warn once, not per call."""
         import warnings as warnings_mod
 
-        # neutralize REPRO_SANITIZE: with it set the *tuner* would also
-        # validate and refuse to re-tune the poisoned kernel at all --
-        # this test is about the library-level single-warning contract.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         a, b = gemm_feeds()
         path = tmp_path / "kernels.json"
-        warm = AtopLibrary(quick=True, cache_path=path, validate="off")
+        warm = AtopLibrary(quick=True, cache_path=path, run=UNVALIDATED)
         warm.gemm(a, b)
-        set_fault_plan(
-            FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
-        )
-        lib = AtopLibrary(quick=True, cache_path=path, validate="all")
+        lib = AtopLibrary(quick=True, cache_path=path, run=POISONED)
         with warnings_mod.catch_warnings(record=True) as caught:
             warnings_mod.simplefilter("always")
             lib.gemm(a, b)  # hit -> detected -> fallback (warns)
@@ -141,6 +131,32 @@ class TestCorruptedKernelEndToEnd:
         assert len(fallback_warnings) == 1
         assert lib.stats.fallbacks == 2
 
+    @pytest.mark.parametrize("mode", ["winner", "all"])
+    def test_cold_miss_that_rejects_every_candidate_falls_back(
+        self, mode
+    ):
+        """A first call whose tuning finds no candidate that validates
+        is served by the reference, not raised to the caller."""
+        import warnings as warnings_mod
+
+        a, b = gemm_feeds()
+        lib = AtopLibrary(
+            quick=True, run=RunConfig(validate=mode, faults=POISON)
+        )
+        with warnings_mod.catch_warnings(record=True) as caught:
+            warnings_mod.simplefilter("always")
+            run = lib.gemm(a, b)
+        fallback_warnings = [
+            w for w in caught
+            if issubclass(w.category, KernelFallbackWarning)
+        ]
+        assert len(fallback_warnings) == 1
+        assert "NoValidCandidateError" in run.fallback_reason
+        assert run.report.detail == "validation-fallback"
+        assert lib.stats.fallbacks == 1 and lib.stats.tuned == 0
+        assert lib.gemm_key(64, 32, 48) not in lib.cache
+        np.testing.assert_allclose(run.output, a @ b, rtol=1e-4, atol=1e-3)
+
     def test_validated_conv_hit_is_certified_once(self):
         """The conv path certifies a fresh tune and amortizes later
         hits through the recorded digest."""
@@ -149,7 +165,7 @@ class TestCorruptedKernelEndToEnd:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(params.input_shape).astype(np.float32)
         w = rng.standard_normal(params.weight_shape).astype(np.float32)
-        lib = AtopLibrary(quick=True, validate="all")
+        lib = AtopLibrary(quick=True, run=RunConfig(validate="all"))
         r1 = lib.conv2d(x, w, params)
         assert r1.fallback_reason is None
         assert lib.stats.validations == 1
